@@ -245,8 +245,8 @@ struct ElasticPricing {
 //     the extra samples it processes;
 //   - the reshard barrier entering a shape is the all-gather of the
 //     departed replica's worst ZeRO-1 shard (TrainingCostModel::
-//     CheckpointShardBytes) over the DP fabric (hw::DataParallelLink,
-//     hw::CommModel);
+//     CheckpointShardBytes) over the DP fabric
+//     (hw::ClusterTopology::LinkFor(hw::Dim::kData, ...), hw::CommModel);
 //   - every shape's schedule (and the adopted mitigation's re-planned
 //     schedule) is validated against sched/validate invariants under an
 //     activation cap derived from that shape's engine budget.

@@ -17,10 +17,9 @@ LinkSpec Shared(LinkSpec link, int streams) {
 
 LinkSpec Loopback() { return {"loopback", 1e15, 0.0}; }
 
-// Lightweight non-owning view of one homogeneous fabric (a ClusterSpec or
-// one DeviceTier). All dimension→link logic lives on this view so the
-// legacy shims and ClusterTopology::LinkFor share one implementation
-// without copying specs per query.
+// Lightweight non-owning view of one tier's homogeneous fabric. All
+// dimension→link logic lives on this view, so the single-tier and
+// per-tier queries share one implementation without copying specs.
 struct FabricView {
   int nodes = 0;
   int gpus_per_node = 0;
@@ -29,10 +28,6 @@ struct FabricView {
 
   int world() const { return nodes * gpus_per_node; }
 };
-
-FabricView ViewOf(const ClusterSpec& c) {
-  return {c.nodes, c.gpus_per_node, &c.intra_node, &c.inter_node};
-}
 
 FabricView ViewOf(const DeviceTier& t) {
   return {t.nodes, t.gpus_per_node, &t.intra_node, &t.inter_node};
@@ -325,13 +320,8 @@ LinkSpec ClusterTopology::LinkForOnTier(Dim dim, const ParallelLayout& layout, i
 LinkSpec ClusterTopology::LinkFor(Dim dim, const ParallelLayout& layout) const {
   MEPIPE_CHECK(!tiers.empty());
   if (num_tiers() == 1) {
-    if (dim == Dim::kPipeline) {
-      MEPIPE_CHECK_EQ(layout.ranks(), world_size()) << "layout must cover the whole cluster";
-      if (layout.pp == 1) {
-        return Loopback();
-      }
-      return LinkOn(ViewOf(tiers.front()), dim, layout, layout.pp);
-    }
+    MEPIPE_CHECK(dim != Dim::kPipeline || layout.ranks() == world_size())
+        << "layout must cover the whole cluster";
     return LinkOn(ViewOf(tiers.front()), dim, layout, layout.pp);
   }
   if (dim == Dim::kPipeline) {
@@ -586,32 +576,6 @@ TierLink LanLink(const LinkSpec& link) {
   l.usd_per_gb_egress = 0.0;
   l.wan = false;
   return l;
-}
-
-LinkSpec PipelineP2pLink(const ClusterSpec& cluster, const ParallelLayout& layout) {
-  // Shim over the shared single-tier mapping (ClusterTopology::LinkFor).
-  MEPIPE_CHECK_EQ(layout.ranks(), cluster.world_size())
-      << "layout must cover the whole cluster";
-  if (layout.pp == 1) {
-    return Loopback();
-  }
-  return PipelineLinkOn(ViewOf(cluster), layout, layout.pp);
-}
-
-LinkSpec ContextParallelLink(const ClusterSpec& cluster, const ParallelLayout& layout) {
-  return ContextLinkOn(ViewOf(cluster), layout);
-}
-
-LinkSpec DataParallelLink(const ClusterSpec& cluster, const ParallelLayout& layout) {
-  return DataLinkOn(ViewOf(cluster), layout);
-}
-
-LinkSpec TensorParallelLink(const ClusterSpec& cluster, const ParallelLayout& layout) {
-  return TensorLinkOn(ViewOf(cluster), layout);
-}
-
-bool DpSharesPipelineFabric(const ClusterSpec& cluster, const ParallelLayout& layout) {
-  return SharesOn(ViewOf(cluster), layout, layout.pp).Shares(Dim::kData, Dim::kPipeline);
 }
 
 }  // namespace mepipe::hw

@@ -7,12 +7,12 @@
 // nodes and all eight per-node streams share one 100 Gb/s NIC.
 //
 // Two levels of description coexist:
-//  - `ClusterSpec`: one homogeneous fleet (the original API, unchanged).
+//  - `ClusterSpec`: one homogeneous fleet.
 //  - `ClusterTopology`: a fleet of `DeviceTier`s (GPU spec, count, rental
 //    price, region) joined by typed `TierLink`s (LAN vs WAN, $/GB egress).
 //    `SingleTierTopology(spec)` embeds a ClusterSpec as the one-tier
-//    special case; every dimension→link query on it is bit-identical to
-//    the legacy free functions, which survive as thin delegating shims.
+//    special case, and every dimension→link query goes through
+//    `ClusterTopology::LinkFor` / `FabricShares`.
 #ifndef MEPIPE_HW_CLUSTER_H_
 #define MEPIPE_HW_CLUSTER_H_
 
@@ -75,12 +75,14 @@ const char* DimName(Dim dim);
 enum class FabricClass : std::uint8_t { kLoopback = 0, kIntraNode = 1, kInterNode = 2, kWan = 3 };
 
 // Per-dimension fabric assignment plus the contention predicate between
-// dimensions. `Shares(kData, kPipeline)` reproduces the legacy
-// `DpSharesPipelineFabric` exactly: no contention when either side is
-// loopback; same fabric tier always contends; split tiers contend iff
-// the intra-node fabric is through-host (PCIe-class), because NIC DMA
-// then crosses the same root complex — the §3 single-fabric property of
-// cost-effective clusters. NVLink-class intra fabrics bypass the host.
+// dimensions. `Shares(kData, kPipeline)` decides whether the DP gradient
+// ring and the pipeline p2p stream of one device contend (overlapped DP
+// sync must then yield to in-flight transfers): no contention when
+// either side is loopback; same fabric tier always contends; split tiers
+// contend iff the intra-node fabric is through-host (PCIe-class),
+// because NIC DMA then crosses the same root complex — the §3
+// single-fabric property of cost-effective clusters. NVLink-class intra
+// fabrics bypass the host.
 struct FabricShareMap {
   std::array<FabricClass, 4> fabric = {FabricClass::kLoopback, FabricClass::kLoopback,
                                        FabricClass::kLoopback, FabricClass::kLoopback};
@@ -181,14 +183,14 @@ struct ClusterTopology {
   // ≥ 1: how much slower tier i's device is than the fastest tier's.
   double TierSlowdown(int i) const;
 
-  // Effective link for one dimension of `layout`, collapsing the four
-  // legacy free-function helpers. Single-tier: bit-identical to
-  // PipelineP2pLink / ContextParallelLink / DataParallelLink /
-  // TensorParallelLink. Multi-tier: intra-stage dimensions (cp/dp/tp)
-  // take the worst per-tier mapping; kPipeline conservatively reports
-  // the slowest inter-tier link shared by the dp·cp·tp concurrent
-  // boundary streams (per-boundary placement-aware pricing lives in
-  // CommModel::PipelineP2pAcross).
+  // Effective link for one dimension of `layout`. Single-tier: the
+  // pipeline link (which needs a layout covering the cluster) accounts for
+  // NIC sharing by co-located concurrent streams; context, data and tensor
+  // groups stay intra-node while they fit in a node. Multi-tier:
+  // intra-stage dimensions (cp/dp/tp) take the worst per-tier mapping;
+  // kPipeline conservatively reports the slowest inter-tier link shared by
+  // the dp·cp·tp concurrent boundary streams (per-boundary
+  // placement-aware pricing lives in CommModel::PipelineP2pAcross).
   LinkSpec LinkFor(Dim dim, const ParallelLayout& layout) const;
   // LinkFor for a dimension evaluated on one tier's sub-cluster.
   LinkSpec LinkForOnTier(Dim dim, const ParallelLayout& layout, int tier) const;
@@ -234,30 +236,6 @@ DeviceTier A100Tier();     // 4×8, NVLink + IB-800G, ~$1.90/GPU-hr
 TierLink WanLink(double gbps, double usd_per_gb);
 // Same-campus cross-tier LAN (no egress billing).
 TierLink LanLink(const LinkSpec& link);
-
-// ---------------------------------------------------------------------
-// Legacy accessors, kept as thin shims over ClusterTopology::LinkFor /
-// FabricShares so existing call sites and snapshots stay bit-identical.
-// ---------------------------------------------------------------------
-
-// Effective link for one pipeline p2p stream between adjacent stages,
-// accounting for NIC sharing by co-located concurrent streams.
-LinkSpec PipelineP2pLink(const ClusterSpec& cluster, const ParallelLayout& layout);
-
-// Effective link for context-parallel collectives (KV ring exchange).
-LinkSpec ContextParallelLink(const ClusterSpec& cluster, const ParallelLayout& layout);
-
-// Effective link for data-parallel gradient/optimizer collectives.
-LinkSpec DataParallelLink(const ClusterSpec& cluster, const ParallelLayout& layout);
-
-// Effective link for tensor-parallel activations (A100 only in practice).
-LinkSpec TensorParallelLink(const ClusterSpec& cluster, const ParallelLayout& layout);
-
-// Whether the DP gradient ring and the pipeline p2p stream of one device
-// contend for the same physical fabric, so overlapped DP sync must yield
-// to in-flight pipeline transfers (sim::EngineOptions::dp_link_shared).
-// Shim over FabricShareMap::Shares(kData, kPipeline).
-bool DpSharesPipelineFabric(const ClusterSpec& cluster, const ParallelLayout& layout);
 
 }  // namespace mepipe::hw
 

@@ -18,7 +18,7 @@ struct LinkSpec {
   // Traffic on this link crosses the host root complex (PCIe-class
   // fabrics). NIC DMA takes the same path, so a through-host intra-node
   // link contends with inter-node traffic — the single-fabric property
-  // of cost-effective clusters (see DpSharesPipelineFabric).
+  // of cost-effective clusters (see hw::FabricShareMap).
   bool through_host = false;
 
   Seconds transfer_time(Bytes bytes) const {

@@ -53,32 +53,33 @@ TEST(Cluster, PresetsMatchPaperTestbeds) {
 TEST(Cluster, PipelineCrossesNodesAtPp8) {
   // pp=8 on 8 nodes: every boundary crosses nodes; 8 streams share a NIC.
   const ClusterSpec cluster = Rtx4090Cluster();
-  const LinkSpec link = PipelineP2pLink(cluster, {8, 4, 2, 1});
+  const LinkSpec link = SingleTierTopology(cluster).LinkFor(Dim::kPipeline, {8, 4, 2, 1});
   EXPECT_NEAR(link.bandwidth, cluster.inter_node.bandwidth / 8.0, 1.0);
 }
 
 TEST(Cluster, PipelineLoopbackAtPp1) {
   const ClusterSpec cluster = Rtx4090Cluster();
-  const LinkSpec link = PipelineP2pLink(cluster, {1, 64, 1, 1});
+  const LinkSpec link = SingleTierTopology(cluster).LinkFor(Dim::kPipeline, {1, 64, 1, 1});
   EXPECT_GT(link.bandwidth, 1e14);
 }
 
 TEST(Cluster, CpGroupsStayIntraNode) {
   const ClusterSpec cluster = Rtx4090Cluster();
-  const LinkSpec link = ContextParallelLink(cluster, {8, 2, 4, 1});
+  const LinkSpec link = SingleTierTopology(cluster).LinkFor(Dim::kContext, {8, 2, 4, 1});
   EXPECT_EQ(link.name, cluster.intra_node.name);
 }
 
 TEST(Cluster, SmallDpGroupsStayIntraNode) {
   const ClusterSpec cluster = Rtx4090Cluster();
-  EXPECT_EQ(DataParallelLink(cluster, {8, 8, 1, 1}).name, cluster.intra_node.name);
-  EXPECT_EQ(DataParallelLink(cluster, {8, 4, 2, 1}).name, cluster.intra_node.name);
+  const ClusterTopology topology = SingleTierTopology(cluster);
+  EXPECT_EQ(topology.LinkFor(Dim::kData, {8, 8, 1, 1}).name, cluster.intra_node.name);
+  EXPECT_EQ(topology.LinkFor(Dim::kData, {8, 4, 2, 1}).name, cluster.intra_node.name);
 }
 
 TEST(Cluster, LargeDpGroupsShareNicByInterleavedRings) {
   const ClusterSpec cluster = Rtx4090Cluster();
   // dp=16, cp=2: the 16·2-rank block spans nodes; 2 rings share the NIC.
-  const LinkSpec link = DataParallelLink(cluster, {2, 16, 2, 1});
+  const LinkSpec link = SingleTierTopology(cluster).LinkFor(Dim::kData, {2, 16, 2, 1});
   EXPECT_NEAR(link.bandwidth, cluster.inter_node.bandwidth / 2.0, 1.0);
 }
 
