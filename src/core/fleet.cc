@@ -11,11 +11,34 @@
 #include "core/deployment.h"
 #include "model/flops.h"
 #include "model/memory.h"
+#include "model/slicing.h"
 #include "sched/generator.h"
 #include "sched/schedule.h"
+#include "sched/zbv.h"
 #include "sim/engine.h"
+#include "sim/noise.h"
 
 namespace mepipe::core {
+namespace {
+
+Bytes Scaled(Bytes bytes, double scale) {
+  return static_cast<Bytes>(std::llround(static_cast<double>(bytes) * scale));
+}
+
+// PlacementSlowdowns relative to the fastest tier the placement occupies:
+// the reference device a placed candidate's absolute durations are
+// priced on.
+std::vector<double> OccupiedSlowdowns(const hw::ClusterTopology& topology,
+                                      const hw::StagePlacement& placement) {
+  std::vector<double> slowdown = PlacementSlowdowns(topology, placement).slowdown;
+  const double fastest = *std::min_element(slowdown.begin(), slowdown.end());
+  for (double& s : slowdown) {
+    s /= fastest;
+  }
+  return slowdown;
+}
+
+}  // namespace
 
 StageProfile PlacementSlowdowns(const hw::ClusterTopology& topology,
                                 const hw::StagePlacement& placement) {
@@ -116,16 +139,8 @@ TierScaledCostModel::TierScaledCostModel(const sim::CostModel& base,
       priced_(priced),
       comm_(topology, placed.placement),
       layout_(placed.strategy.layout()),
-      problem_(priced.problem()) {
-  // Dilation is relative to the fastest *occupied* tier — the reference
-  // device the candidate's absolute durations were priced on.
-  StageProfile profile = PlacementSlowdowns(topology, placed.placement);
-  const double fastest =
-      *std::min_element(profile.slowdown.begin(), profile.slowdown.end());
-  for (double& s : profile.slowdown) {
-    s /= fastest;
-  }
-  stage_slowdown_ = std::move(profile.slowdown);
+      problem_(priced.problem()),
+      stage_slowdown_(OccupiedSlowdowns(topology, placed.placement)) {
   chunk_scale_.resize(static_cast<std::size_t>(problem_.num_chunks()));
   for (int g = 0; g < problem_.num_chunks(); ++g) {
     chunk_scale_[static_cast<std::size_t>(g)] = plan.unit_ratio(g);
@@ -164,88 +179,76 @@ Seconds TierScaledCostModel::TransferTime(const sched::OpId& producer) const {
 }
 
 Seconds TierScaledCostModel::DpSyncTime(const sched::OpId& bucket) const {
-  const double scale = chunk_scale_[static_cast<std::size_t>(bucket.chunk)];
-  const Bytes bytes = static_cast<Bytes>(
-      std::llround(static_cast<double>(priced_.ChunkParamBytes(bucket.chunk)) * scale));
+  const Bytes bytes = Scaled(priced_.ChunkParamBytes(bucket.chunk),
+                            chunk_scale_[static_cast<std::size_t>(bucket.chunk)]);
   return comm_.DpGradientSyncAtStage(bytes, layout_, problem_.stage_of_chunk(bucket.chunk));
 }
 
 namespace {
 
-// A placed candidate, ready to price: the homogeneous build on the
-// reference tier's sub-cluster, the (reference-relative) slowdown
-// profile, the adopted layer re-partition, and per-stage scale factors
-// for static memory.
+// A candidate ready to price: the homogeneous build on the reference
+// tier's sub-cluster, the slowdown profile relative to that tier, the
+// adopted layer re-partition, and per-stage scale factors for static
+// memory.
 struct PlacedBuild {
   CandidateBuild build;
-  int ref_tier = 0;
-  StageProfile profile;  // relative to ref_tier, each >= 1
+  StageProfile profile;  // each >= 1
   RebalancePlan plan;    // default (no-op) when compute is uniform
   std::vector<double> static_scale;
 };
 
-// The reference tier's spec resized to exactly `ranks` devices, so the
-// homogeneous BuildCandidate machinery applies unchanged.
-bool ReferenceSpec(const hw::DeviceTier& tier, int ranks, hw::ClusterSpec* spec,
-                   std::string* error) {
-  *spec = tier.spec();
-  if (ranks <= spec->gpus_per_node) {
-    spec->nodes = 1;
-    spec->gpus_per_node = ranks;
-    return true;
-  }
-  if (ranks % spec->gpus_per_node == 0) {
-    spec->nodes = ranks / spec->gpus_per_node;
-    return true;
-  }
-  *error = StrFormat("layout ranks %d not divisible by tier %s's %d GPUs per node", ranks,
-                     tier.name.c_str(), spec->gpus_per_node);
-  return false;
-}
-
+// Builds `placed` for pricing. `exact_cover` picks the admissibility
+// rules. Placed requests pass null: ParallelLayout::Validate on the
+// topology and placement, then a reference sub-cluster sized to the
+// layout. ClusterSpec requests pass their cluster: BuildCandidate's own
+// checks against the whole of it, so the layout must cover it exactly and
+// tp>1 on a through-host fabric is priced rather than rejected.
 PlacedBuild BuildPlaced(const model::TransformerConfig& config, const PlacedStrategy& placed,
                         const hw::ClusterTopology& topology, int global_batch,
-                        const IterationOptions& options) {
+                        const IterationOptions& options, const hw::ClusterSpec* exact_cover) {
   PlacedBuild pb;
-  pb.build.strategy = placed.strategy;
-  const hw::ParallelLayout layout = placed.strategy.layout();
-  const std::vector<hw::LayoutIssue> issues = layout.Validate(topology, placed.placement);
-  if (!issues.empty()) {
-    pb.build.note = issues.front().message;
-    return pb;
-  }
-
-  // Reference tier: fastest among the tiers the placement occupies.
-  pb.ref_tier = placed.placement.tier_of(0);
-  for (const int t : placed.placement.stage_tier) {
-    if (topology.TierSlowdown(t) < topology.TierSlowdown(pb.ref_tier) ||
-        (topology.TierSlowdown(t) == topology.TierSlowdown(pb.ref_tier) && t < pb.ref_tier)) {
-      pb.ref_tier = t;
+  if (exact_cover != nullptr) {
+    pb.build = BuildCandidate(config, placed.strategy, *exact_cover, global_batch, options);
+  } else {
+    const int ranks = placed.strategy.layout().ranks();
+    const std::vector<hw::LayoutIssue> issues =
+        placed.strategy.layout().Validate(topology, placed.placement);
+    if (!issues.empty()) {
+      pb.build.note = issues.front().message;
+      return pb;
     }
+    // Reference tier: fastest among the tiers the placement occupies.
+    int ref = placed.placement.tier_of(0);
+    for (const int t : placed.placement.stage_tier) {
+      if (topology.TierSlowdown(t) < topology.TierSlowdown(ref) ||
+          (topology.TierSlowdown(t) == topology.TierSlowdown(ref) && t < ref)) {
+        ref = t;
+      }
+    }
+    // Its spec resized to exactly the layout's ranks, so the homogeneous
+    // BuildCandidate machinery applies unchanged.
+    hw::ClusterSpec ref_spec = topology.tier(ref).spec();
+    if (ranks <= ref_spec.gpus_per_node) {
+      ref_spec.nodes = 1;
+      ref_spec.gpus_per_node = ranks;
+    } else if (ranks % ref_spec.gpus_per_node == 0) {
+      ref_spec.nodes = ranks / ref_spec.gpus_per_node;
+    } else {
+      pb.build.note = StrFormat("layout ranks %d not divisible by tier %s's %d GPUs per node",
+                                ranks, topology.tier(ref).name.c_str(), ref_spec.gpus_per_node);
+      return pb;
+    }
+    pb.build = BuildCandidate(config, placed.strategy, ref_spec, global_batch, options);
   }
-  hw::ClusterSpec ref_spec;
-  std::string error;
-  if (!ReferenceSpec(topology.tier(pb.ref_tier), layout.ranks(), &ref_spec, &error)) {
-    pb.build.note = std::move(error);
-    return pb;
-  }
-  pb.build = BuildCandidate(config, placed.strategy, ref_spec, global_batch, options);
   if (!pb.build.feasible) {
     return pb;
   }
   const sched::PipelineProblem& problem = pb.build.problem;
   pb.static_scale.assign(static_cast<std::size_t>(problem.stages), 1.0);
 
-  pb.profile = PlacementSlowdowns(topology, placed.placement);
-  const double fastest =
-      *std::min_element(pb.profile.slowdown.begin(), pb.profile.slowdown.end());
-  bool hetero_compute = false;
-  for (double& s : pb.profile.slowdown) {
-    s /= fastest;
-    hetero_compute = hetero_compute || s != 1.0;
-  }
-
-  if (hetero_compute) {
+  pb.profile.slowdown = OccupiedSlowdowns(topology, placed.placement);
+  if (std::any_of(pb.profile.slowdown.begin(), pb.profile.slowdown.end(),
+                  [](double s) { return s != 1.0; })) {
     // Shed layers off the slow tiers and regenerate the program order —
     // the MitigateStragglers idiom, applied to a *static* speed profile.
     RebalanceOptions rebalance;
@@ -291,26 +294,40 @@ PlacedBuild BuildPlaced(const model::TransformerConfig& config, const PlacedStra
     for (int stage = 0; stage < problem.stages; ++stage) {
       const Bytes usable =
           topology.tier(placed.placement.tier_of(stage)).gpu.usable_memory();
-      const Bytes stage_static = static_cast<Bytes>(
-          std::llround(static_cast<double>(costs.StaticMemory(stage)) *
-                       pb.static_scale[static_cast<std::size_t>(stage)]));
-      pb.build.activation_budget[static_cast<std::size_t>(stage)] =
-          std::max<Bytes>(0, usable - stage_static);
+      pb.build.activation_budget[static_cast<std::size_t>(stage)] = std::max<Bytes>(
+          0, usable - Scaled(costs.StaticMemory(stage),
+                             pb.static_scale[static_cast<std::size_t>(stage)]));
     }
   }
   return pb;
 }
 
+// The candidate's cost model as both pricers execute it: the build's
+// TrainingCostModel, re-partitioned by the placement's plan and re-priced
+// for the tiers it spans. A single-tier build is executed unwrapped.
+sim::CostModelStack PlacedCosts(const PlacedBuild& pb, const hw::ClusterTopology& topology,
+                                const PlacedStrategy& placed) {
+  sim::CostModelStack stack(*pb.build.costs);
+  if (pb.plan.any_change()) {
+    stack.Wrap<RebalancedCostModel>(pb.build.problem, pb.plan);
+  }
+  if (topology.num_tiers() > 1) {
+    stack.Wrap<TierScaledCostModel>(*pb.build.costs, topology, placed, pb.plan);
+  }
+  return stack;
+}
+
 // Worst-stage serialized DP sync, each stage priced on its hosting
 // tier's fabric with its adopted parameter share. Reduces to
 // TrainingCostModel::DpSyncTime() on a single tier with no re-partition.
-Seconds SerializedDpSync(const TrainingCostModel& costs, const hw::CommModel& comm,
-                         const hw::ParallelLayout& layout, const PlacedBuild& pb) {
+Seconds SerializedDpSync(const hw::ClusterTopology& topology, const PlacedStrategy& placed,
+                         const PlacedBuild& pb) {
+  const hw::CommModel comm(topology, placed.placement);
+  const hw::ParallelLayout layout = placed.strategy.layout();
   Seconds worst = 0;
   for (int stage = 0; stage < pb.build.problem.stages; ++stage) {
-    const Bytes bytes = static_cast<Bytes>(
-        std::llround(static_cast<double>(costs.StageParamBytes(stage)) *
-                     pb.static_scale[static_cast<std::size_t>(stage)]));
+    const Bytes bytes = Scaled(pb.build.costs->StageParamBytes(stage),
+                               pb.static_scale[static_cast<std::size_t>(stage)]);
     worst = std::max(worst, comm.DpGradientSyncAtStage(bytes, layout, stage));
   }
   return worst;
@@ -335,8 +352,6 @@ std::string OomNote(const hw::ClusterTopology& topology, const PlacedStrategy& p
                     int stage, Bytes peak, Bytes stage_total) {
   const hw::DeviceTier& tier = topology.tier(placed.placement.tier_of(stage));
   if (topology.num_tiers() < 2) {
-    // Match SimulateIteration's wording so the one-tier special case is
-    // bit-identical, notes included.
     return StrFormat("OOM: peak %s > usable %s", FormatBytes(peak).c_str(),
                      FormatBytes(tier.gpu.usable_memory()).c_str());
   }
@@ -345,24 +360,115 @@ std::string OomNote(const hw::ClusterTopology& topology, const PlacedStrategy& p
                    FormatBytes(tier.gpu.usable_memory()).c_str());
 }
 
-}  // namespace
+// The one result assembly both pricers share: DP sync, iteration time,
+// per-stage memory on the hosting tier with the ZBV-capped floor, the OOM
+// verdict, and MFU. `measured` is the table replay, or the engine run's
+// summary in the same terms; `mitigation_scale` is the per-stage layer
+// share of an adopted straggler mitigation (empty when none was adopted).
+// Timeline, schedule and mitigation fields are left to the caller.
+IterationResult Assemble(const model::TransformerConfig& config, const PlacedStrategy& placed,
+                         const hw::ClusterTopology& topology, int global_batch,
+                         const IterationOptions& options, const PlacedBuild& pb,
+                         const TablePrice& measured,
+                         const std::vector<double>& mitigation_scale = {}) {
+  const Strategy& strategy = placed.strategy;
+  const TrainingCostModel& costs = *pb.build.costs;
+  IterationResult result;
+  result.strategy = strategy;
+  result.micros = pb.build.micros;
+  result.pipeline_time = measured.makespan;
+  result.dp.overlapped = options.dp_overlap;
+  if (options.dp_overlap) {
+    // The buckets were scheduled against the timeline; only the tail
+    // past the makespan is paid.
+    result.dp.serialized = measured.dp_serialized;
+    result.dp.hidden = measured.dp_hidden;
+    result.dp.exposed = measured.dp_exposed;
+  } else {
+    // Monolithic sync after the flush: everything is exposed.
+    result.dp.serialized = SerializedDpSync(topology, placed, pb);
+    result.dp.exposed = result.dp.serialized;
+  }
+  result.dp_sync_time = result.dp.exposed;
+  result.iteration_time = measured.makespan + result.dp_sync_time + options.optimizer_step;
+  result.bubble_ratio = measured.bubble_ratio;
+  result.peak_activation = measured.peak_activation;
+  result.checkpoint_shard = costs.CheckpointShardBytes();
+  result.checkpoint_state = costs.CheckpointStateBytes();
 
-PlacedIterationResult SimulatePlacedIteration(const model::TransformerConfig& config,
-                                              const PlacedStrategy& placed,
-                                              const hw::ClusterTopology& topology,
-                                              int global_batch,
-                                              const IterationOptions& options) {
+  // The capped ZBV generator's accounting releases a forward's
+  // activations at its B, but its W ops are deferred (kFillWhole) and the
+  // memory is really held until each W runs, so the measured peak carries
+  // an ~A/2 artifact. Floor every stage at the construction's honest
+  // bound, 1F1B parity (ZbvMaxRetainedForwards chunk-forwards, scaled by
+  // the stage's layer share), so memory feasibility cannot be fooled.
+  const bool floored = strategy.method == Method::kZbvCapped;
+  const Bytes honest =
+      floored ? static_cast<Bytes>(sched::ZbvMaxRetainedForwards(strategy.pp, result.micros)) *
+                    costs.PerForwardActivationBytes()
+              : 0;
+  int oom_stage = -1;
+  Bytes oom_total = 0;
+  for (int stage = 0; stage < pb.build.problem.stages; ++stage) {
+    const std::size_t s = static_cast<std::size_t>(stage);
+    const Bytes stage_static = Scaled(costs.StaticMemory(stage), pb.static_scale[s]);
+    // An adopted mitigation re-partitions layers again: the run holds its
+    // share of the static memory, while static_memory keeps reporting the
+    // planned split.
+    const Bytes held_static =
+        mitigation_scale.empty()
+            ? stage_static
+            : Scaled(costs.StaticMemory(stage), pb.static_scale[s] * mitigation_scale[s]);
+    Bytes total = held_static + measured.stage_peak_activation[s];
+    if (floored) {
+      const Bytes floor = Scaled(honest, pb.static_scale[s]);
+      result.peak_activation = std::max(result.peak_activation, floor);
+      total = std::max(total, stage_static + floor);
+    }
+    result.static_memory = std::max(result.static_memory, stage_static);
+    result.peak_memory = std::max(result.peak_memory, total);
+    if (oom_stage < 0 &&
+        total > topology.tier(placed.placement.tier_of(stage)).gpu.usable_memory()) {
+      oom_stage = stage;
+      oom_total = total;
+    }
+  }
+  if (oom_stage >= 0) {
+    result.note = OomNote(topology, placed, oom_stage, result.peak_memory, oom_total);
+  } else {
+    result.feasible = true;
+    result.note = "ok";
+  }
+
+  const std::int64_t tokens = static_cast<std::int64_t>(global_batch) * config.seq_len;
+  result.per_gpu_flops = model::TrainingFlops(config, tokens) /
+                         (result.iteration_time * static_cast<double>(strategy.layout().ranks()));
+  result.mfu = result.per_gpu_flops / MeanPeakFlops(topology, placed);
+  return result;
+}
+
+// The engine run of a candidate, with SimulateIteration's fault-plan,
+// noise and straggler-mitigation handling on single-tier topologies.
+PlacedIterationResult SimulateOn(const model::TransformerConfig& config,
+                                 const PlacedStrategy& placed,
+                                 const hw::ClusterTopology& topology, int global_batch,
+                                 const IterationOptions& options,
+                                 const hw::ClusterSpec* exact_cover) {
+  MEPIPE_CHECK(topology.num_tiers() == 1 ||
+               (options.fault_plan.empty() && options.noise_sigma <= 0 &&
+                !options.rebalance_stragglers))
+      << "fault plans, noise and straggler mitigation need a single-tier topology";
   PlacedIterationResult out;
   out.placed = placed;
   out.result.strategy = placed.strategy;
-  PlacedBuild pb = BuildPlaced(config, placed, topology, global_batch, options);
+  PlacedBuild pb = BuildPlaced(config, placed, topology, global_batch, options, exact_cover);
   if (!pb.build.feasible) {
     out.result.note = std::move(pb.build.note);
     return out;
   }
+  const Strategy& strategy = placed.strategy;
   const sched::PipelineProblem& problem = pb.build.problem;
-  const hw::ParallelLayout layout = placed.strategy.layout();
-  const TrainingCostModel& costs = *pb.build.costs;
+  sched::Schedule& schedule = pb.build.schedule;
 
   out.slowdown = pb.profile.slowdown;
   const int units_per_chunk =
@@ -374,91 +480,159 @@ PlacedIterationResult SimulatePlacedIteration(const model::TransformerConfig& co
                                   : pb.plan.new_units[static_cast<std::size_t>(g)];
   }
 
-  sim::CostModelStack stack(costs);
-  if (pb.plan.any_change()) {
-    stack.Wrap<RebalancedCostModel>(problem, pb.plan);
+  sim::CostModelStack stack = PlacedCosts(pb, topology, placed);
+  if (options.noise_sigma > 0) {
+    stack.Noisy(options.noise_sigma, options.noise_seed);
   }
-  if (topology.num_tiers() > 1) {
-    stack.Wrap<TierScaledCostModel>(costs, topology, placed, pb.plan);
-  }
-
   sim::EngineOptions engine;
   engine.wgrad_mode = pb.build.wgrad_mode;
   engine.activation_budget = pb.build.activation_budget;
+  engine.fault_plan = options.fault_plan;
   engine.dp_overlap = options.dp_overlap;
-  engine.dp_link_shared = options.dp_overlap && topology.FabricShares(layout).Shares(
-                                                    hw::Dim::kData, hw::Dim::kPipeline);
-  sim::SimResult sim = Simulate(pb.build.schedule, stack.model(), engine);
+  engine.dp_link_shared = options.dp_overlap && topology.FabricShares(strategy.layout())
+                                                    .Shares(hw::Dim::kData, hw::Dim::kPipeline);
+  sim::SimResult sim = Simulate(schedule, stack.model(), engine);
 
-  IterationResult& result = out.result;
-  result.micros = pb.build.micros;
-  result.pipeline_time = sim.makespan;
-  result.mitigation.unmitigated_pipeline_time = sim.makespan;
-  const hw::CommModel comm(topology, placed.placement);
-  result.dp.overlapped = options.dp_overlap;
-  if (options.dp_overlap) {
-    result.dp.serialized = sim.dp.serialized;
-    result.dp.hidden = sim.dp.hidden;
-    result.dp.exposed = sim.dp.exposed;
-  } else {
-    result.dp.serialized = SerializedDpSync(costs, comm, layout, pb);
-    result.dp.exposed = result.dp.serialized;
-  }
-  result.dp_sync_time = result.dp.exposed;
-  result.iteration_time = sim.makespan + result.dp_sync_time + options.optimizer_step;
-  result.bubble_ratio = sim.bubble_ratio;
-  result.peak_activation = sim.peak_activation;
-  result.checkpoint_shard = costs.CheckpointShardBytes();
-  result.checkpoint_state = costs.CheckpointStateBytes();
-
-  Bytes peak = 0;
-  Bytes static_peak = 0;
-  int oom_stage = -1;
-  Bytes oom_total = 0;
-  for (int stage = 0; stage < problem.stages; ++stage) {
-    const Bytes stage_static = static_cast<Bytes>(
-        std::llround(static_cast<double>(costs.StaticMemory(stage)) *
-                     pb.static_scale[static_cast<std::size_t>(stage)]));
-    static_peak = std::max(static_peak, stage_static);
-    const Bytes total =
-        stage_static + sim.stages[static_cast<std::size_t>(stage)].peak_activation;
-    peak = std::max(peak, total);
-    if (oom_stage < 0 &&
-        total > topology.tier(placed.placement.tier_of(stage)).gpu.usable_memory()) {
-      oom_stage = stage;
-      oom_total = total;
+  std::vector<double> mitigation_scale;
+  const Seconds unmitigated_makespan = sim.makespan;
+  if (options.rebalance_stragglers && !options.fault_plan.empty()) {
+    // Straggler-aware rebalancing: estimate the per-stage slowdown,
+    // re-partition layers / re-tune caps, and adopt the mitigated
+    // schedule when it beats the unmitigated one under the same plan.
+    MitigationOptions mitigation;
+    mitigation.engine = engine;
+    mitigation.rebalance.config = config;
+    mitigation.rebalance.seq_len = config.seq_len / strategy.cp;
+    mitigation.rebalance.slice_alignment = options.cost.slice_alignment;
+    mitigation.rebalance.units_per_chunk = units_per_chunk;
+    if (problem.slices > 1) {
+      // Re-balance against the spans the cost model actually priced.
+      mitigation.rebalance.base_spans =
+          options.cost.balanced_slices
+              ? model::AlignSlices(model::BalancedSlices(config, mitigation.rebalance.seq_len,
+                                                         problem.slices),
+                                   std::max<std::int64_t>(1, options.cost.slice_alignment))
+              : model::UniformSlices(mitigation.rebalance.seq_len, problem.slices);
+    }
+    MitigationReport report =
+        MitigateStragglers(schedule, stack.model(), *options.fault_plan, mitigation);
+    if (report.mitigated_makespan < sim.makespan) {
+      sim = std::move(report.mitigated);
+      schedule = std::move(report.mitigated_schedule);
+      for (int stage = 0; stage < problem.stages; ++stage) {
+        mitigation_scale.push_back(report.plan.stage_unit_ratio(problem, stage));
+      }
     }
   }
-  result.static_memory = static_peak;
-  result.peak_memory = peak;
-  if (oom_stage >= 0) {
-    result.feasible = false;
-    result.note = OomNote(topology, placed, oom_stage, peak, oom_total);
-  } else {
-    result.feasible = true;
-    result.note = "ok";
-  }
 
-  const std::int64_t tokens = static_cast<std::int64_t>(global_batch) * config.seq_len;
-  result.per_gpu_flops = model::TrainingFlops(config, tokens) /
-                         (result.iteration_time * static_cast<double>(layout.ranks()));
-  result.mfu = result.per_gpu_flops / MeanPeakFlops(topology, placed);
-
-  if (options.keep_timeline) {
-    result.sim = std::move(sim);
-  } else {
-    sim.timeline.clear();
-    result.sim = std::move(sim);
+  TablePrice measured;
+  measured.makespan = sim.makespan;
+  measured.bubble_ratio = sim.bubble_ratio;
+  measured.peak_activation = sim.peak_activation;
+  for (const sim::StageMetrics& stage : sim.stages) {
+    measured.stage_peak_activation.push_back(stage.peak_activation);
   }
+  measured.dp_serialized = sim.dp.serialized;
+  measured.dp_hidden = sim.dp.hidden;
+  measured.dp_exposed = sim.dp.exposed;
+  IterationResult& result = out.result;
+  result =
+      Assemble(config, placed, topology, global_batch, options, pb, measured, mitigation_scale);
+  result.mitigation.rebalanced = !mitigation_scale.empty();
+  result.mitigation.unmitigated_pipeline_time = unmitigated_makespan;
+  if (!options.keep_timeline) {
+    // Release the storage, not just the spans: callers such as the
+    // planner hold every evaluated result until the query ends.
+    std::vector<sim::OpSpan>().swap(sim.timeline);
+  }
+  result.sim = std::move(sim);
   if (options.keep_schedule) {
-    result.schedule = pb.build.schedule;
-    result.activation_budget = engine.activation_budget;
+    result.schedule = std::move(schedule);
+    result.activation_budget = std::move(engine.activation_budget);
+  }
+  out.dollars = PriceDollarCost(topology, placed, result.iteration_time,
+                                WanEgressBytesPerIteration(config, placed, problem, topology));
+  return out;
+}
+
+// The table replay of a candidate, served from and recorded in
+// options.cache when one is attached.
+PlacedSurrogateResult PriceOn(const model::TransformerConfig& config,
+                              const PlacedStrategy& placed, const hw::ClusterTopology& topology,
+                              int global_batch, const SurrogateOptions& options,
+                              const hw::ClusterSpec* exact_cover) {
+  const Strategy& strategy = placed.strategy;
+  PlacedSurrogateResult out;
+  out.placed = placed;
+  // Egress depends on the problem shape alone, so a cache hit bills it
+  // without a build.
+  const Bytes egress = WanEgressBytesPerIteration(
+      config, placed, ProblemFor(strategy, global_batch / std::max(1, strategy.dp)), topology);
+
+  SurrogateKey key;
+  if (options.cache != nullptr) {
+    key = {strategy.method, strategy.pp, strategy.dp, strategy.cp, strategy.tp, strategy.vp,
+           strategy.spp, strategy.recompute, global_batch,
+           exact_cover != nullptr ? CostModelFingerprint(config, *exact_cover, options.iteration)
+                                  : TopologyFingerprint(config, topology, options.iteration),
+           exact_cover != nullptr ? 0 : placed.placement.Hash()};
+    if (auto hit = options.cache->Lookup(key)) {
+      hit->cache_hit = true;
+      out.result = std::move(*hit);
+      out.dollars = PriceDollarCost(topology, placed, out.result.iteration_time, egress);
+      return out;
+    }
   }
 
-  out.dollars = PriceDollarCost(
-      topology, placed, result.iteration_time,
-      WanEgressBytesPerIteration(config, placed, problem, topology));
+  PlacedBuild pb =
+      BuildPlaced(config, placed, topology, global_batch, options.iteration, exact_cover);
+  SurrogateResult& result = out.result;
+  result.strategy = strategy;
+  if (!pb.build.feasible) {
+    result.note = std::move(pb.build.note);
+  } else {
+    const sim::CostModelStack stack = PlacedCosts(pb, topology, placed);
+    TableOptions table;
+    table.wgrad_mode = pb.build.wgrad_mode;
+    table.activation_budget = pb.build.activation_budget;
+    table.dp_overlap = options.iteration.dp_overlap;
+    IterationResult assembled =
+        Assemble(config, placed, topology, global_batch, options.iteration, pb,
+                 PriceScheduleTable(pb.build.schedule, stack.model(), table));
+    result.feasible = assembled.feasible;
+    result.note = std::move(assembled.note);
+    result.micros = assembled.micros;
+    result.pipeline_time = assembled.pipeline_time;
+    result.dp_sync_time = assembled.dp_sync_time;
+    result.iteration_time = assembled.iteration_time;
+    result.bubble_ratio = assembled.bubble_ratio;
+    result.static_memory = assembled.static_memory;
+    result.peak_activation = assembled.peak_activation;
+    result.peak_memory = assembled.peak_memory;
+    result.checkpoint_shard = assembled.checkpoint_shard;
+  }
+  if (options.cache != nullptr) {
+    options.cache->Insert(key, result);
+  }
+  out.dollars = PriceDollarCost(topology, placed, result.iteration_time, egress);
   return out;
+}
+
+// A ClusterSpec request's placement: every stage on the one tier. Unlike
+// StagePlacement::Uniform it accepts pp < 1, which BuildCandidate then
+// rejects with its usual note.
+hw::StagePlacement SingleTierPlacement(int pp) {
+  return {std::vector<int>(static_cast<std::size_t>(std::max(0, pp)), 0)};
+}
+
+}  // namespace
+
+PlacedIterationResult SimulatePlacedIteration(const model::TransformerConfig& config,
+                                              const PlacedStrategy& placed,
+                                              const hw::ClusterTopology& topology,
+                                              int global_batch,
+                                              const IterationOptions& options) {
+  return SimulateOn(config, placed, topology, global_batch, options, nullptr);
 }
 
 PlacedSurrogateResult SurrogatePricePlaced(const model::TransformerConfig& config,
@@ -466,114 +640,23 @@ PlacedSurrogateResult SurrogatePricePlaced(const model::TransformerConfig& confi
                                            const hw::ClusterTopology& topology,
                                            int global_batch,
                                            const SurrogateOptions& options) {
-  PlacedSurrogateResult out;
-  out.placed = placed;
-  // Problem shape for egress accounting, derivable without a build (and
-  // therefore also on a cache hit).
-  sched::PipelineProblem shape;
-  shape.stages = placed.strategy.pp;
-  shape.virtual_chunks = placed.strategy.vp;
-  shape.slices = placed.strategy.spp;
-  shape.micros = global_batch / std::max(1, placed.strategy.dp);
-  shape.split_backward = MethodSplitsBackward(placed.strategy.method);
-  if (placed.strategy.method == Method::kZbv || placed.strategy.method == Method::kZbvCapped ||
-      placed.strategy.method == Method::kHanayo) {
-    shape.placement = sched::ChunkPlacement::kVShape;
-  }
-  const Bytes egress = WanEgressBytesPerIteration(config, placed, shape, topology);
+  return PriceOn(config, placed, topology, global_batch, options, nullptr);
+}
 
-  SurrogateKey key;
-  if (options.cache != nullptr) {
-    key.method = placed.strategy.method;
-    key.pp = placed.strategy.pp;
-    key.dp = placed.strategy.dp;
-    key.cp = placed.strategy.cp;
-    key.tp = placed.strategy.tp;
-    key.vp = placed.strategy.vp;
-    key.spp = placed.strategy.spp;
-    key.recompute = placed.strategy.recompute;
-    key.global_batch = global_batch;
-    key.fingerprint = TopologyFingerprint(config, topology, options.iteration);
-    key.placement = placed.placement.Hash();
-    if (auto hit = options.cache->Lookup(key)) {
-      hit->cache_hit = true;
-      out.result = *hit;
-      out.dollars = PriceDollarCost(topology, placed, out.result.iteration_time, egress);
-      return out;
-    }
-  }
+IterationResult SimulateIteration(const model::TransformerConfig& config,
+                                  const Strategy& strategy, const hw::ClusterSpec& cluster,
+                                  int global_batch, const IterationOptions& options) {
+  return SimulateOn(config, {strategy, SingleTierPlacement(strategy.pp)},
+                    hw::SingleTierTopology(cluster), global_batch, options, &cluster)
+      .result;
+}
 
-  PlacedBuild pb = BuildPlaced(config, placed, topology, global_batch, options.iteration);
-  SurrogateResult& result = out.result;
-  result.strategy = placed.strategy;
-  if (!pb.build.feasible) {
-    result.note = std::move(pb.build.note);
-  } else {
-    const sched::PipelineProblem& problem = pb.build.problem;
-    const hw::ParallelLayout layout = placed.strategy.layout();
-    const TrainingCostModel& costs = *pb.build.costs;
-
-    sim::CostModelStack stack(costs);
-    if (pb.plan.any_change()) {
-      stack.Wrap<RebalancedCostModel>(problem, pb.plan);
-    }
-    if (topology.num_tiers() > 1) {
-      stack.Wrap<TierScaledCostModel>(costs, topology, placed, pb.plan);
-    }
-
-    TableOptions table;
-    table.wgrad_mode = pb.build.wgrad_mode;
-    table.activation_budget = pb.build.activation_budget;
-    table.dp_overlap = options.iteration.dp_overlap;
-    const TablePrice price = PriceScheduleTable(pb.build.schedule, stack.model(), table);
-
-    result.micros = pb.build.micros;
-    result.pipeline_time = price.makespan;
-    if (options.iteration.dp_overlap) {
-      result.dp_sync_time = price.dp_exposed;
-    } else {
-      const hw::CommModel comm(topology, placed.placement);
-      result.dp_sync_time = SerializedDpSync(costs, comm, layout, pb);
-    }
-    result.iteration_time =
-        price.makespan + result.dp_sync_time + options.iteration.optimizer_step;
-    result.bubble_ratio = price.bubble_ratio;
-    result.peak_activation = price.peak_activation;
-    result.checkpoint_shard = costs.CheckpointShardBytes();
-
-    Bytes peak = 0;
-    Bytes static_peak = 0;
-    int oom_stage = -1;
-    Bytes oom_total = 0;
-    for (int stage = 0; stage < problem.stages; ++stage) {
-      const Bytes stage_static = static_cast<Bytes>(
-          std::llround(static_cast<double>(costs.StaticMemory(stage)) *
-                       pb.static_scale[static_cast<std::size_t>(stage)]));
-      static_peak = std::max(static_peak, stage_static);
-      const Bytes total =
-          stage_static + price.stage_peak_activation[static_cast<std::size_t>(stage)];
-      peak = std::max(peak, total);
-      if (oom_stage < 0 &&
-          total > topology.tier(placed.placement.tier_of(stage)).gpu.usable_memory()) {
-        oom_stage = stage;
-        oom_total = total;
-      }
-    }
-    result.static_memory = static_peak;
-    result.peak_memory = peak;
-    if (oom_stage >= 0) {
-      result.feasible = false;
-      result.note = OomNote(topology, placed, oom_stage, peak, oom_total);
-    } else {
-      result.feasible = true;
-      result.note = "ok";
-    }
-  }
-  if (options.cache != nullptr) {
-    options.cache->Insert(key, result);
-  }
-  out.dollars = PriceDollarCost(topology, placed, result.iteration_time, egress);
-  return out;
+SurrogateResult SurrogatePrice(const model::TransformerConfig& config,
+                               const Strategy& strategy, const hw::ClusterSpec& cluster,
+                               int global_batch, const SurrogateOptions& options) {
+  return PriceOn(config, {strategy, SingleTierPlacement(strategy.pp)},
+                 hw::SingleTierTopology(cluster), global_batch, options, &cluster)
+      .result;
 }
 
 }  // namespace mepipe::core

@@ -23,7 +23,11 @@
 //    tier's usable memory, with static memory scaled by the adopted
 //    layer share.
 // A single-tier topology with a uniform placement takes none of these
-// paths and reproduces SimulateIteration / SurrogatePrice bit for bit.
+// paths. This is the only pricing path: SimulateIteration and
+// SurrogatePrice are its single-tier case (defined in fleet.cc), and the
+// DES and the surrogate share one result assembly — DP sync, iteration
+// time, per-stage memory and OOM verdict, the ZBV-capped memory floor,
+// MFU, timeline and schedule retention.
 #ifndef MEPIPE_CORE_FLEET_H_
 #define MEPIPE_CORE_FLEET_H_
 
@@ -130,9 +134,11 @@ struct PlacedSurrogateResult {
   DollarCostBreakdown dollars;
 };
 
-// DES-grade pricing of a placed candidate. Clean-run only: fault plans,
-// noise, and straggler rebalancing in `options` are ignored (static
-// heterogeneity is already folded into the candidate itself).
+// DES-grade pricing of a placed candidate. On a single-tier topology the
+// fault plan, noise and straggler rebalancing in `options` run exactly as
+// SimulateIteration runs them. A multi-tier topology folds static
+// heterogeneity into the candidate itself and rejects all three with a
+// CheckError.
 PlacedIterationResult SimulatePlacedIteration(const model::TransformerConfig& config,
                                               const PlacedStrategy& placed,
                                               const hw::ClusterTopology& topology,

@@ -1,19 +1,14 @@
 #include "core/iteration.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/check.h"
 #include "common/format.h"
 #include "core/memory_model.h"
-#include "core/rebalance.h"
 #include "core/svpp.h"
-#include "model/flops.h"
-#include "model/slicing.h"
 #include "sched/baselines.h"
 #include "sched/synth.h"
 #include "sched/zbv.h"
-#include "sim/noise.h"
 
 namespace mepipe::core {
 
@@ -26,6 +21,21 @@ bool MethodUsesSlices(Method method) {
   return method == Method::kSvpp || method == Method::kTeraPipe;
 }
 
+sched::PipelineProblem ProblemFor(const Strategy& strategy, int micros) {
+  sched::PipelineProblem problem;
+  problem.stages = strategy.pp;
+  problem.virtual_chunks = strategy.vp;
+  problem.slices = strategy.spp;
+  problem.micros = micros;
+  problem.split_backward = MethodSplitsBackward(strategy.method);
+  if (strategy.method == Method::kZbv || strategy.method == Method::kZbvCapped ||
+      strategy.method == Method::kHanayo ||
+      (strategy.method == Method::kSynth && strategy.vp == 2)) {
+    problem.placement = sched::ChunkPlacement::kVShape;
+  }
+  return problem;
+}
+
 namespace {
 
 CandidateBuild InfeasibleBuild(const Strategy& strategy, std::string note) {
@@ -34,14 +44,6 @@ CandidateBuild InfeasibleBuild(const Strategy& strategy, std::string note) {
   build.feasible = false;
   build.note = std::move(note);
   return build;
-}
-
-IterationResult Infeasible(const Strategy& strategy, std::string note) {
-  IterationResult result;
-  result.strategy = strategy;
-  result.feasible = false;
-  result.note = std::move(note);
-  return result;
 }
 
 }  // namespace
@@ -106,17 +108,8 @@ CandidateBuild BuildCandidate(const model::TransformerConfig& config,
   CandidateBuild build;
   build.strategy = strategy;
   build.micros = micros;
-  sched::PipelineProblem& problem = build.problem;
-  problem.stages = strategy.pp;
-  problem.virtual_chunks = strategy.vp;
-  problem.slices = strategy.spp;
-  problem.micros = micros;
-  problem.split_backward = MethodSplitsBackward(strategy.method);
-  if (strategy.method == Method::kZbv || strategy.method == Method::kZbvCapped ||
-      strategy.method == Method::kHanayo ||
-      (strategy.method == Method::kSynth && strategy.vp == 2)) {
-    problem.placement = sched::ChunkPlacement::kVShape;
-  }
+  build.problem = ProblemFor(strategy, micros);
+  const sched::PipelineProblem& problem = build.problem;
 
   build.costs.emplace(config, strategy, cluster, problem, options.cost);
   const TrainingCostModel& costs = *build.costs;
@@ -259,153 +252,6 @@ CandidateBuild BuildCandidate(const model::TransformerConfig& config,
   build.feasible = true;
   build.note = "ok";
   return build;
-}
-
-IterationResult SimulateIteration(const model::TransformerConfig& config,
-                                  const Strategy& strategy, const hw::ClusterSpec& cluster,
-                                  int global_batch, const IterationOptions& options) {
-  CandidateBuild build = BuildCandidate(config, strategy, cluster, global_batch, options);
-  if (!build.feasible) {
-    return Infeasible(strategy, std::move(build.note));
-  }
-  const int world = cluster.world_size();
-  const int micros = build.micros;
-  const sched::PipelineProblem& problem = build.problem;
-  const TrainingCostModel& costs = *build.costs;
-  sched::Schedule& schedule = build.schedule;
-
-  // ---- execute ---------------------------------------------------------------
-  sim::EngineOptions engine;
-  engine.wgrad_mode = build.wgrad_mode;
-  engine.activation_budget = build.activation_budget;
-  engine.fault_plan = options.fault_plan;
-  engine.dp_overlap = options.dp_overlap;
-  engine.dp_link_shared = options.dp_overlap && hw::SingleTierTopology(cluster)
-                                                    .FabricShares(strategy.layout())
-                                                    .Shares(hw::Dim::kData, hw::Dim::kPipeline);
-  sim::SimResult sim;
-  bool rebalanced = false;
-  Seconds unmitigated_pipeline_time = 0;
-  // Per-stage static-memory scaling of the adopted mitigation's layer
-  // re-partition (1.0 everywhere when nothing was adopted).
-  std::vector<double> static_scale(static_cast<std::size_t>(strategy.pp), 1.0);
-  auto execute = [&](const sim::CostModel& priced) {
-    sim = Simulate(schedule, priced, engine);
-    if (!options.rebalance_stragglers || options.fault_plan.empty()) {
-      return;
-    }
-    MitigationOptions mitigation;
-    mitigation.engine = engine;
-    mitigation.rebalance.config = config;
-    mitigation.rebalance.seq_len = config.seq_len / strategy.cp;
-    mitigation.rebalance.slice_alignment = options.cost.slice_alignment;
-    mitigation.rebalance.units_per_chunk =
-        static_cast<int>(config.partition_units()) / problem.num_chunks();
-    if (problem.slices > 1) {
-      // Re-balance against the spans the cost model actually priced.
-      mitigation.rebalance.base_spans =
-          options.cost.balanced_slices
-              ? model::AlignSlices(model::BalancedSlices(config, mitigation.rebalance.seq_len,
-                                                         problem.slices),
-                                   std::max<std::int64_t>(1, options.cost.slice_alignment))
-              : model::UniformSlices(mitigation.rebalance.seq_len, problem.slices);
-    }
-    const MitigationReport report =
-        MitigateStragglers(schedule, priced, *options.fault_plan, mitigation);
-    if (report.mitigated_makespan < sim.makespan) {
-      unmitigated_pipeline_time = sim.makespan;
-      sim = report.mitigated;
-      schedule = report.mitigated_schedule;
-      for (int stage = 0; stage < strategy.pp; ++stage) {
-        static_scale[static_cast<std::size_t>(stage)] =
-            report.plan.stage_unit_ratio(problem, stage);
-      }
-      rebalanced = true;
-    }
-  };
-  sim::CostModelStack stack(costs);
-  if (options.noise_sigma > 0) {
-    stack.Noisy(options.noise_sigma, options.noise_seed);
-  }
-  execute(stack.model());
-
-  IterationResult result;
-  result.strategy = strategy;
-  result.micros = micros;
-  result.pipeline_time = sim.makespan;
-  result.mitigation.rebalanced = rebalanced;
-  result.mitigation.unmitigated_pipeline_time =
-      rebalanced ? unmitigated_pipeline_time : sim.makespan;
-  result.dp.overlapped = options.dp_overlap;
-  if (options.dp_overlap) {
-    // The engine scheduled the buckets against the timeline; only the
-    // tail past the makespan is paid.
-    result.dp.serialized = sim.dp.serialized;
-    result.dp.hidden = sim.dp.hidden;
-    result.dp.exposed = sim.dp.exposed;
-  } else {
-    // Monolithic sync after the flush: everything is exposed.
-    result.dp.serialized = costs.DpSyncTime();
-    result.dp.exposed = result.dp.serialized;
-  }
-  result.dp_sync_time = result.dp.exposed;
-  result.iteration_time = sim.makespan + result.dp_sync_time + options.optimizer_step;
-  result.bubble_ratio = sim.bubble_ratio;
-  result.static_memory = costs.MaxStaticMemory();
-  result.peak_activation = sim.peak_activation;
-  result.checkpoint_shard = costs.CheckpointShardBytes();
-  result.checkpoint_state = costs.CheckpointStateBytes();
-
-  // Worst stage overall: static of that stage (scaled by the adopted
-  // re-partition's layer share) + its activation peak.
-  Bytes peak = 0;
-  for (int stage = 0; stage < strategy.pp; ++stage) {
-    const Bytes stage_static = static_cast<Bytes>(
-        std::llround(static_cast<double>(costs.StaticMemory(stage)) *
-                     static_scale[static_cast<std::size_t>(stage)]));
-    peak = std::max(peak, stage_static +
-                              sim.stages[static_cast<std::size_t>(stage)].peak_activation);
-  }
-  if (strategy.method == Method::kZbvCapped) {
-    // The capped generator's accounting releases a forward's activations
-    // at its B, but its W ops are deferred (kFillWhole) and the memory is
-    // really held until each W runs — so the measured peak carries an
-    // ~A/2 artifact. Floor it at the construction's honest bound, 1F1B
-    // parity (ZbvMaxRetainedForwards chunk-forwards on the worst stage),
-    // so planner memory feasibility cannot be fooled. The surrogate
-    // applies the same floor.
-    const Bytes honest =
-        static_cast<Bytes>(sched::ZbvMaxRetainedForwards(strategy.pp, micros)) *
-        costs.PerForwardActivationBytes();
-    result.peak_activation = std::max(result.peak_activation, honest);
-    peak = std::max(peak, costs.MaxStaticMemory() + honest);
-  }
-  result.peak_memory = peak;
-
-  const std::int64_t tokens = static_cast<std::int64_t>(global_batch) * config.seq_len;
-  result.per_gpu_flops = model::TrainingFlops(config, tokens) /
-                         (result.iteration_time * static_cast<double>(world));
-  result.mfu = result.per_gpu_flops / cluster.gpu.peak_flops;
-
-  if (result.peak_memory > cluster.gpu.usable_memory()) {
-    result.feasible = false;
-    result.note = StrFormat("OOM: peak %s > usable %s", FormatBytes(result.peak_memory).c_str(),
-                            FormatBytes(cluster.gpu.usable_memory()).c_str());
-  } else {
-    result.feasible = true;
-    result.note = "ok";
-  }
-  if (options.keep_timeline) {
-    result.sim = std::move(sim);
-  } else {
-    sim.timeline.clear();
-    result.sim = std::move(sim);
-  }
-  if (options.keep_schedule) {
-    result.schedule = std::move(schedule);
-    result.activation_budget = engine.activation_budget;
-  }
-  return result;
 }
 
 }  // namespace mepipe::core

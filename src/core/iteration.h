@@ -26,6 +26,14 @@ bool MethodSplitsBackward(Method method);
 // Whether `method`'s slice axis is SPP (sequence pipeline) rather than CP.
 bool MethodUsesSlices(Method method);
 
+// The pipeline problem `strategy` poses with `micros` micro-batches per
+// replica: stages, virtual chunks, slices, split backward, and the
+// V-shaped chunk placement of the methods that fold their chunks back
+// (ZBV, ZBV-capped, Hanayo, and Synth at vp=2). Candidate builds, the
+// surrogate's egress shape and the pruning bound all derive a strategy's
+// shape here, so their chunk→stage mappings cannot disagree.
+sched::PipelineProblem ProblemFor(const Strategy& strategy, int micros);
+
 struct IterationOptions {
   TrainingCostOptions cost;
   // Fill policy for deferred weight gradients (MEPipe default: per-GEMM).
@@ -66,8 +74,8 @@ struct IterationOptions {
   // (sim::EngineOptions::dp_overlap) instead of serializing the
   // monolithic sync after the flush. Whether the DP ring contends with
   // pipeline transfers is derived from the cluster topology
-  // (hw::DpSharesPipelineFabric). iteration_time then pays only the
-  // exposed tail (IterationResult::dp).
+  // (hw::FabricShareMap::Shares(kData, kPipeline)). iteration_time then
+  // pays only the exposed tail (IterationResult::dp).
   bool dp_overlap = false;
 };
 
@@ -139,9 +147,8 @@ struct IterationResult {
 // Everything a candidate strategy needs before execution: the structural
 // feasibility verdict, the pipeline problem, the priced cost model, the
 // generated schedule, and the engine-facing wgrad/budget settings.
-// Shared between SimulateIteration (which executes the schedule on the
-// DES) and surrogate::SurrogatePrice (which prices it analytically) so
-// both paths agree on exactly what a candidate means.
+// Shared by the DES and the surrogate pricers (core/fleet) so both agree
+// on exactly what a candidate means.
 struct CandidateBuild {
   Strategy strategy;
   bool feasible = false;
@@ -169,6 +176,11 @@ CandidateBuild BuildCandidate(const model::TransformerConfig& config,
 // `cluster` with global batch size `global_batch` (samples). Infeasible
 // strategies (indivisible batch, model not partitionable, OOM, …) return
 // feasible=false with an explanatory note instead of throwing.
+//
+// This is the single-tier case of SimulatePlacedIteration (defined with
+// it in core/fleet.cc). The layout must cover the whole cluster, and
+// BuildCandidate's structural checks run first, so tp>1 on a through-host
+// fabric is priced rather than rejected as ParallelLayout::Validate would.
 IterationResult SimulateIteration(const model::TransformerConfig& config,
                                   const Strategy& strategy, const hw::ClusterSpec& cluster,
                                   int global_batch, const IterationOptions& options = {});

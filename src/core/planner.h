@@ -149,8 +149,8 @@ struct FleetPlannerResult {
 // candidate axis. With options.two_phase the grid is surrogate-priced in
 // parallel (SurrogatePricePlaced; thread-count-invariant winner — same
 // (score, grid order) ranking as the homogeneous driver) and the DES
-// runs only on the surrogate top-k. Clean-run only: a fault plan
-// CHECK-fails.
+// runs only on the surrogate top-k. Clean-run only: a fault plan, noise
+// or straggler rebalancing CHECK-fails.
 FleetPlannerResult SearchBestFleetStrategy(Method method,
                                            const model::TransformerConfig& config,
                                            const hw::ClusterTopology& topology,

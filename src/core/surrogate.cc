@@ -4,13 +4,10 @@
 #include <bit>
 #include <cmath>
 #include <deque>
-#include <limits>
 
 #include "common/check.h"
-#include "common/format.h"
 #include "core/deployment.h"
 #include "sched/dependency.h"
-#include "sched/zbv.h"
 
 namespace mepipe::core {
 namespace {
@@ -558,83 +555,6 @@ void SurrogateCache::Clear() {
   stats_ = {};
 }
 
-SurrogateResult SurrogatePrice(const model::TransformerConfig& config,
-                               const Strategy& strategy, const hw::ClusterSpec& cluster,
-                               int global_batch, const SurrogateOptions& options) {
-  SurrogateKey key;
-  if (options.cache != nullptr) {
-    key.method = strategy.method;
-    key.pp = strategy.pp;
-    key.dp = strategy.dp;
-    key.cp = strategy.cp;
-    key.tp = strategy.tp;
-    key.vp = strategy.vp;
-    key.spp = strategy.spp;
-    key.recompute = strategy.recompute;
-    key.global_batch = global_batch;
-    key.fingerprint = CostModelFingerprint(config, cluster, options.iteration);
-    if (auto hit = options.cache->Lookup(key)) {
-      hit->cache_hit = true;
-      return *hit;
-    }
-  }
-
-  CandidateBuild build = BuildCandidate(config, strategy, cluster, global_batch,
-                                        options.iteration);
-  SurrogateResult result;
-  result.strategy = strategy;
-  if (!build.feasible) {
-    result.note = std::move(build.note);
-  } else {
-    const TrainingCostModel& costs = *build.costs;
-    TableOptions table;
-    table.wgrad_mode = build.wgrad_mode;
-    table.activation_budget = build.activation_budget;
-    table.dp_overlap = options.iteration.dp_overlap;
-    const TablePrice price = PriceScheduleTable(build.schedule, costs, table);
-
-    result.micros = build.micros;
-    result.pipeline_time = price.makespan;
-    result.dp_sync_time =
-        options.iteration.dp_overlap ? price.dp_exposed : costs.DpSyncTime();
-    result.iteration_time =
-        price.makespan + result.dp_sync_time + options.iteration.optimizer_step;
-    result.bubble_ratio = price.bubble_ratio;
-    result.static_memory = costs.MaxStaticMemory();
-    result.peak_activation = price.peak_activation;
-    result.checkpoint_shard = costs.CheckpointShardBytes();
-    Bytes peak = 0;
-    for (int stage = 0; stage < strategy.pp; ++stage) {
-      peak = std::max(peak, costs.StaticMemory(stage) +
-                                price.stage_peak_activation[static_cast<std::size_t>(stage)]);
-    }
-    if (strategy.method == Method::kZbvCapped) {
-      // Same honest-memory floor as SimulateIteration: the capped
-      // generator's release-on-B accounting under-reports the peak its
-      // deferred Ws actually hold (~A/2 artifact); floor at 1F1B parity
-      // so the surrogate and the simulator agree on memory feasibility.
-      const Bytes honest =
-          static_cast<Bytes>(sched::ZbvMaxRetainedForwards(strategy.pp, build.micros)) *
-          costs.PerForwardActivationBytes();
-      result.peak_activation = std::max(result.peak_activation, honest);
-      peak = std::max(peak, costs.MaxStaticMemory() + honest);
-    }
-    result.peak_memory = peak;
-    if (peak > cluster.gpu.usable_memory()) {
-      result.feasible = false;
-      result.note = StrFormat("OOM: peak %s > usable %s", FormatBytes(peak).c_str(),
-                              FormatBytes(cluster.gpu.usable_memory()).c_str());
-    } else {
-      result.feasible = true;
-      result.note = "ok";
-    }
-  }
-  if (options.cache != nullptr) {
-    options.cache->Insert(key, result);
-  }
-  return result;
-}
-
 SurrogateGoodput ClosedFormGoodput(Seconds iteration_time, Bytes checkpoint_shard,
                                    const ResilienceOptions& resilience,
                                    const CheckpointCostOptions& checkpoint_cost) {
@@ -681,12 +601,7 @@ std::optional<Seconds> SurrogateLowerBound(const model::TransformerConfig& confi
   if (strategy.dp <= 0 || global_batch % strategy.dp != 0) {
     return std::nullopt;
   }
-  sched::PipelineProblem problem;
-  problem.stages = strategy.pp;
-  problem.virtual_chunks = strategy.vp;
-  problem.slices = strategy.spp;
-  problem.micros = global_batch / strategy.dp;
-  problem.split_backward = MethodSplitsBackward(strategy.method);
+  const sched::PipelineProblem problem = ProblemFor(strategy, global_batch / strategy.dp);
   try {
     problem.Validate();
     const TrainingCostModel costs(config, strategy, cluster, problem, options.cost);

@@ -97,8 +97,11 @@ std::uint64_t TopologyFingerprint(const model::TransformerConfig& config,
                                   const IterationOptions& options);
 
 // Cache key: (method, shape, batch, cost-model fingerprint, placement).
-// `placement` is 0 for homogeneous searches and StagePlacement::Hash()
-// for placed (heterogeneous-fleet) candidates.
+// ClusterSpec requests (SurrogatePrice) key on CostModelFingerprint with
+// `placement` 0; placed requests (SurrogatePricePlaced) on
+// TopologyFingerprint with StagePlacement::Hash(). The two apply
+// different layout admissibility rules, so their entries never alias,
+// even on a one-tier topology.
 struct SurrogateKey {
   Method method = Method::kSvpp;
   int pp = 1, dp = 1, cp = 1, tp = 1, vp = 1, spp = 1;
@@ -204,7 +207,10 @@ struct SurrogateOptions {
 
 // Builds the candidate (core::BuildCandidate) and prices it with the
 // tabular pass. Infeasible candidates return feasible=false with the
-// structural or OOM note, mirroring SimulateIteration.
+// structural or OOM note, mirroring SimulateIteration. The single-tier
+// case of SurrogatePricePlaced (defined with it in core/fleet.cc), with
+// SimulateIteration's admissibility rules; cache keys carry
+// CostModelFingerprint and placement 0.
 SurrogateResult SurrogatePrice(const model::TransformerConfig& config,
                                const Strategy& strategy, const hw::ClusterSpec& cluster,
                                int global_batch, const SurrogateOptions& options = {});

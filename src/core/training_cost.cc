@@ -327,11 +327,6 @@ Seconds TrainingCostModel::DpSyncTime() const {
   return worst;
 }
 
-Seconds TrainingCostModel::StageDpSyncTime(int stage) const {
-  return comm_.DpGradientSync(param_bytes_per_stage_[static_cast<std::size_t>(stage)],
-                              strategy_.layout());
-}
-
 Bytes TrainingCostModel::StageParamBytes(int stage) const {
   return param_bytes_per_stage_[static_cast<std::size_t>(stage)];
 }

@@ -99,7 +99,6 @@ class TrainingCostModel : public sim::CostModel {
   // Per-stage / per-chunk decompositions of the summaries above, used by
   // the heterogeneous-fleet wrapper (core/fleet) to re-price one stage's
   // traffic on the fabric of the tier that hosts it.
-  Seconds StageDpSyncTime(int stage) const;  // monolithic sync of one stage
   Bytes StageParamBytes(int stage) const;
   Bytes ChunkParamBytes(int chunk) const;
   // Pipeline boundary tensor volume of one slice (activations forward,

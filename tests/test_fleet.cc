@@ -14,7 +14,9 @@
 #include "core/rebalance.h"
 #include "core/surrogate.h"
 #include "hw/cluster.h"
+#include "model/memory.h"
 #include "model/transformer.h"
+#include "sim/fault.h"
 
 namespace mepipe::core {
 namespace {
@@ -120,38 +122,61 @@ TEST(Placements, ValidateFlagsOversubscriptionAndShape) {
 
 // ---- Single-tier bit-identity ---------------------------------------------
 
+// One structurally valid 7B shape per method on the 4090 (pp=4, dp=16,
+// GBS 64). ZBV-capped's is the case where the honest memory floor turns
+// a 22.57 GiB peak into an OOM on a 22.50 GiB device.
+std::vector<Strategy> EveryMethod() {
+  std::vector<Strategy> shapes;
+  for (const Method method :
+       {Method::kGPipe, Method::kDapple, Method::kVpp, Method::kTeraPipe, Method::kZb1p,
+        Method::kZbv, Method::kZbvCapped, Method::kSvpp, Method::kHanayo, Method::kSynth}) {
+    Strategy s;
+    s.method = method;
+    s.pp = 4;
+    s.dp = 16;
+    s.vp = method == Method::kVpp || method == Method::kZbv || method == Method::kZbvCapped ||
+                   method == Method::kHanayo || method == Method::kSynth
+               ? 2
+               : 1;
+    s.spp = method == Method::kSvpp ? 4 : method == Method::kTeraPipe ? 2 : 1;
+    shapes.push_back(s);
+  }
+  return shapes;
+}
+
 TEST(SingleTier, PlacedIterationReproducesSimulateIterationBitForBit) {
   const auto config = model::Llama7B();
   const auto cluster = hw::Rtx4090Cluster();
   const auto fleet = hw::SingleTierTopology(cluster);
-  const auto placed =
-      Placed(Method::kSvpp, 8, 8, 4, hw::StagePlacement::Uniform(8, 0));
-
-  for (const bool dp_overlap : {false, true}) {
-    IterationOptions options;
-    options.dp_overlap = dp_overlap;
-    const auto reference = SimulateIteration(config, placed.strategy, cluster, 128, options);
-    const auto fleet_view = SimulatePlacedIteration(config, placed, fleet, 128, options);
-    ASSERT_TRUE(reference.feasible);
-    ASSERT_TRUE(fleet_view.result.feasible);
-    EXPECT_EQ(fleet_view.result.note, reference.note);
-    EXPECT_EQ(fleet_view.result.micros, reference.micros);
-    EXPECT_EQ(fleet_view.result.pipeline_time, reference.pipeline_time);
-    EXPECT_EQ(fleet_view.result.dp_sync_time, reference.dp_sync_time);
-    EXPECT_EQ(fleet_view.result.dp.serialized, reference.dp.serialized);
-    EXPECT_EQ(fleet_view.result.dp.hidden, reference.dp.hidden);
-    EXPECT_EQ(fleet_view.result.dp.exposed, reference.dp.exposed);
-    EXPECT_EQ(fleet_view.result.iteration_time, reference.iteration_time);
-    EXPECT_EQ(fleet_view.result.bubble_ratio, reference.bubble_ratio);
-    EXPECT_EQ(fleet_view.result.static_memory, reference.static_memory);
-    EXPECT_EQ(fleet_view.result.peak_activation, reference.peak_activation);
-    EXPECT_EQ(fleet_view.result.peak_memory, reference.peak_memory);
-    EXPECT_EQ(fleet_view.result.checkpoint_shard, reference.checkpoint_shard);
-    EXPECT_EQ(fleet_view.result.per_gpu_flops, reference.per_gpu_flops);
-    EXPECT_EQ(fleet_view.result.mfu, reference.mfu);
-    // No placement heterogeneity: every stage at slowdown 1, even split.
-    for (const double s : fleet_view.slowdown) {
-      EXPECT_DOUBLE_EQ(s, 1.0);
+  for (const Strategy& strategy : EveryMethod()) {
+    const PlacedStrategy placed{strategy, hw::StagePlacement::Uniform(strategy.pp, 0)};
+    for (const bool dp_overlap : {false, true}) {
+      SCOPED_TRACE(strategy.ToString() + (dp_overlap ? " dp_overlap" : ""));
+      IterationOptions options;
+      options.dp_overlap = dp_overlap;
+      const auto reference = SimulateIteration(config, strategy, cluster, 64, options);
+      const auto fleet_view = SimulatePlacedIteration(config, placed, fleet, 64, options);
+      ASSERT_GT(reference.pipeline_time, 0) << reference.note;
+      EXPECT_EQ(fleet_view.result.feasible, reference.feasible);
+      EXPECT_EQ(fleet_view.result.note, reference.note);
+      EXPECT_EQ(fleet_view.result.micros, reference.micros);
+      EXPECT_EQ(fleet_view.result.pipeline_time, reference.pipeline_time);
+      EXPECT_EQ(fleet_view.result.dp_sync_time, reference.dp_sync_time);
+      EXPECT_EQ(fleet_view.result.dp.serialized, reference.dp.serialized);
+      EXPECT_EQ(fleet_view.result.dp.hidden, reference.dp.hidden);
+      EXPECT_EQ(fleet_view.result.dp.exposed, reference.dp.exposed);
+      EXPECT_EQ(fleet_view.result.iteration_time, reference.iteration_time);
+      EXPECT_EQ(fleet_view.result.bubble_ratio, reference.bubble_ratio);
+      EXPECT_EQ(fleet_view.result.static_memory, reference.static_memory);
+      EXPECT_EQ(fleet_view.result.peak_activation, reference.peak_activation);
+      EXPECT_EQ(fleet_view.result.peak_memory, reference.peak_memory);
+      EXPECT_EQ(fleet_view.result.checkpoint_shard, reference.checkpoint_shard);
+      EXPECT_EQ(fleet_view.result.per_gpu_flops, reference.per_gpu_flops);
+      EXPECT_EQ(fleet_view.result.mfu, reference.mfu);
+      // No placement heterogeneity: every stage at slowdown 1, even split.
+      for (const double s : fleet_view.slowdown) {
+        EXPECT_DOUBLE_EQ(s, 1.0);
+      }
     }
   }
 }
@@ -160,23 +185,82 @@ TEST(SingleTier, PlacedSurrogateReproducesSurrogatePriceBitForBit) {
   const auto config = model::Llama7B();
   const auto cluster = hw::Rtx4090Cluster();
   const auto fleet = hw::SingleTierTopology(cluster);
-  const auto placed =
-      Placed(Method::kSvpp, 8, 8, 4, hw::StagePlacement::Uniform(8, 0));
+  for (const Strategy& strategy : EveryMethod()) {
+    SCOPED_TRACE(strategy.ToString());
+    const PlacedStrategy placed{strategy, hw::StagePlacement::Uniform(strategy.pp, 0)};
+    const auto reference = SurrogatePrice(config, strategy, cluster, 64);
+    const auto fleet_view = SurrogatePricePlaced(config, placed, fleet, 64);
+    ASSERT_GT(reference.pipeline_time, 0) << reference.note;
+    EXPECT_EQ(fleet_view.result.feasible, reference.feasible);
+    EXPECT_EQ(fleet_view.result.note, reference.note);
+    EXPECT_EQ(fleet_view.result.micros, reference.micros);
+    EXPECT_EQ(fleet_view.result.pipeline_time, reference.pipeline_time);
+    EXPECT_EQ(fleet_view.result.dp_sync_time, reference.dp_sync_time);
+    EXPECT_EQ(fleet_view.result.iteration_time, reference.iteration_time);
+    EXPECT_EQ(fleet_view.result.bubble_ratio, reference.bubble_ratio);
+    EXPECT_EQ(fleet_view.result.static_memory, reference.static_memory);
+    EXPECT_EQ(fleet_view.result.peak_activation, reference.peak_activation);
+    EXPECT_EQ(fleet_view.result.peak_memory, reference.peak_memory);
+    EXPECT_EQ(fleet_view.result.checkpoint_shard, reference.checkpoint_shard);
+  }
+}
 
-  const auto reference = SurrogatePrice(config, placed.strategy, cluster, 128);
-  const auto fleet_view = SurrogatePricePlaced(config, placed, fleet, 128);
-  ASSERT_TRUE(reference.feasible);
-  ASSERT_TRUE(fleet_view.result.feasible);
-  EXPECT_EQ(fleet_view.result.note, reference.note);
-  EXPECT_EQ(fleet_view.result.micros, reference.micros);
-  EXPECT_EQ(fleet_view.result.pipeline_time, reference.pipeline_time);
-  EXPECT_EQ(fleet_view.result.dp_sync_time, reference.dp_sync_time);
+TEST(SingleTier, PlacedIterationRunsFaultsNoiseAndMitigationLikeSimulateIteration) {
+  // On one tier the placed path runs SimulateIteration's perturbations
+  // unchanged: a persistent straggler, its mitigation, and noise.
+  const auto config = model::Llama13B();
+  const auto cluster = hw::Rtx4090Cluster();
+  const auto placed = Placed(Method::kSvpp, 8, 8, 4, hw::StagePlacement::Uniform(8, 0));
+  sim::FaultPlan faults;
+  faults.stragglers.push_back({1, 0.0, 1e9, 2.0});
+  IterationOptions options;
+  options.fault_plan = faults;
+  options.rebalance_stragglers = true;
+  options.noise_sigma = 0.05;
+  options.noise_seed = 11;
+  const auto reference = SimulateIteration(config, placed.strategy, cluster, 64, options);
+  const auto fleet_view =
+      SimulatePlacedIteration(config, placed, hw::SingleTierTopology(cluster), 64, options);
+  ASSERT_TRUE(reference.feasible) << reference.note;
+  EXPECT_TRUE(reference.mitigation.rebalanced);
+  EXPECT_EQ(fleet_view.result.mitigation.rebalanced, reference.mitigation.rebalanced);
+  EXPECT_EQ(fleet_view.result.mitigation.unmitigated_pipeline_time,
+            reference.mitigation.unmitigated_pipeline_time);
   EXPECT_EQ(fleet_view.result.iteration_time, reference.iteration_time);
-  EXPECT_EQ(fleet_view.result.bubble_ratio, reference.bubble_ratio);
-  EXPECT_EQ(fleet_view.result.static_memory, reference.static_memory);
-  EXPECT_EQ(fleet_view.result.peak_activation, reference.peak_activation);
   EXPECT_EQ(fleet_view.result.peak_memory, reference.peak_memory);
-  EXPECT_EQ(fleet_view.result.checkpoint_shard, reference.checkpoint_shard);
+}
+
+TEST(MultiTier, FaultsNoiseAndMitigationAreRejected) {
+  // The placed candidate folds static heterogeneity into its schedule;
+  // runtime perturbations on top of it are not modeled, so they raise
+  // instead of being silently dropped.
+  const auto config = model::Llama7B();
+  const auto fleet = MixedFleet(Lan());
+  hw::StagePlacement split;
+  split.stage_tier = {1, 1, 0, 0};
+  const auto placed = Placed(Method::kSvpp, 4, 4, 4, split);
+  ASSERT_TRUE(SimulatePlacedIteration(config, placed, fleet, 128).result.feasible);
+
+  sim::FaultPlan faults;
+  faults.stragglers.push_back({1, 0.0, 1e9, 2.0});
+  IterationOptions faulted;
+  faulted.fault_plan = faults;
+  EXPECT_THROW(SimulatePlacedIteration(config, placed, fleet, 128, faulted), CheckError);
+  IterationOptions noisy;
+  noisy.noise_sigma = 0.05;
+  EXPECT_THROW(SimulatePlacedIteration(config, placed, fleet, 128, noisy), CheckError);
+  IterationOptions mitigated;
+  mitigated.rebalance_stragglers = true;
+  EXPECT_THROW(SimulatePlacedIteration(config, placed, fleet, 128, mitigated), CheckError);
+
+  // The fleet search refuses them up front rather than per candidate.
+  PlannerOptions search;
+  search.min_dp = 1;
+  search.pp_candidates = {4};
+  search.slice_candidates = {4};
+  search.vp_candidates = {1};
+  search.iteration = noisy;
+  EXPECT_THROW(SearchBestFleetStrategy(Method::kSvpp, config, fleet, 128, search), CheckError);
 }
 
 // ---- Heterogeneous pricing ------------------------------------------------
@@ -274,6 +358,29 @@ TEST(Dollars, EgressBilledPerDecimalGigabyte) {
   EXPECT_DOUBLE_EQ(EgressCostUsd(0, 0.05), 0.0);
   EXPECT_THROW(EgressCostUsd(-1, 0.05), CheckError);
   EXPECT_THROW(EgressCostUsd(1, -0.01), CheckError);
+}
+
+TEST(Dollars, SurrogateBillsTheSameEgressAsTheDesForVShapedSynth) {
+  // Synth at vp=2 folds its chunks back (V shape): a 4|4 split crosses
+  // the WAN at two chunk boundaries, not the three an interleaved
+  // placement would cross. Both pricers derive the shape from ProblemFor.
+  const auto config = model::Llama7B();
+  const auto wan = MixedFleet(hw::WanLink(25.0, 0.02));
+  hw::StagePlacement split;
+  split.stage_tier = {0, 0, 0, 0, 1, 1, 1, 1};
+  PlacedStrategy placed = Placed(Method::kSynth, 8, 2, 1, split);
+  placed.strategy.vp = 2;
+  const auto des = SimulatePlacedIteration(config, placed, wan, 16);
+  const auto surrogate = SurrogatePricePlaced(config, placed, wan, 16);
+  ASSERT_TRUE(des.result.feasible) << des.result.note;
+  EXPECT_GT(des.dollars.wan_egress_bytes, 0);
+  EXPECT_EQ(surrogate.dollars.wan_egress_bytes, des.dollars.wan_egress_bytes);
+  EXPECT_EQ(surrogate.dollars.egress_usd_per_iteration, des.dollars.egress_usd_per_iteration);
+  // Two crossings, each moving every sample's boundary tensor both ways.
+  const sched::PipelineProblem problem = ProblemFor(placed.strategy, 16 / 2);
+  EXPECT_EQ(problem.placement, sched::ChunkPlacement::kVShape);
+  EXPECT_EQ(des.dollars.wan_egress_bytes,
+            2 * model::BoundaryBytesPerToken(config) * config.seq_len * 16 * 2);
 }
 
 TEST(Dollars, WanEgressScalesWithTierCrossings) {

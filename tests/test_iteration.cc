@@ -120,6 +120,8 @@ TEST(Iteration, TimelineKeptOnlyWhenRequested) {
   const auto r = SimulateIteration(fx.config, fx.Make(Method::kSvpp, 8, 8, 4), fx.cluster, 64,
                                    options);
   EXPECT_TRUE(r.sim.timeline.empty());
+  // Dropped means released: planners hold every evaluated result.
+  EXPECT_EQ(r.sim.timeline.capacity(), 0u);
   const auto with = SimulateIteration(fx.config, fx.Make(Method::kSvpp, 8, 8, 4), fx.cluster, 64);
   EXPECT_FALSE(with.sim.timeline.empty());
 }

@@ -6,6 +6,7 @@
 
 #include "hw/cluster.h"
 #include "model/transformer.h"
+#include "sim/fault.h"
 
 namespace mepipe::core {
 namespace {
@@ -124,6 +125,58 @@ TEST(Planner, PrunedSearchFindsSameWinnerWithFewerSimulations) {
     EXPECT_LT(b.simulated, a.simulated) << ToString(m);
     EXPECT_EQ(a.evaluated.size(), b.evaluated.size());
   }
+}
+
+TEST(Planner, DollarObjectiveRanksByIterationTimeOnAClusterSpec) {
+  // A ClusterSpec carries no rental rate: every candidate rents the same
+  // fleet, so kDollarCost must reduce to kIterationTime instead of tying
+  // every candidate at $0.
+  const auto config = model::Llama13B();
+  const auto cluster = hw::Rtx4090Cluster();
+  PlannerOptions by_time;
+  by_time.pp_candidates = {2, 4, 8};
+  by_time.slice_candidates = {1, 2, 4};
+  PlannerOptions by_dollars = by_time;
+  by_dollars.objective = PlannerObjective::kDollarCost;
+  for (const bool two_phase : {false, true}) {
+    by_time.two_phase = two_phase;
+    by_dollars.two_phase = two_phase;
+    const auto a = SearchBestStrategy(Method::kSvpp, config, cluster, 64, by_time);
+    const auto b = SearchBestStrategy(Method::kSvpp, config, cluster, 64, by_dollars);
+    ASSERT_TRUE(a.best.has_value());
+    ASSERT_TRUE(b.best.has_value());
+    EXPECT_EQ(a.best->strategy.ToString(), b.best->strategy.ToString());
+    EXPECT_EQ(a.best->iteration_time, b.best->iteration_time);
+    EXPECT_EQ(a.simulated, b.simulated);
+  }
+}
+
+TEST(Planner, CandidateErrorsAreRecordedNotThrown) {
+  // A straggler on stage 5 is a valid fault plan for pp=8 and an invalid
+  // one for pp=4. The exact phase records the pp=4 candidates as
+  // infeasible, the fault plan's error as their note, and still returns
+  // the pp=8 winner.
+  const auto config = model::Llama13B();
+  const auto cluster = hw::Rtx4090Cluster();
+  PlannerOptions options;
+  options.pp_candidates = {4, 8};
+  options.slice_candidates = {1, 2};
+  sim::FaultPlan faults;
+  faults.stragglers.push_back({5, 0.0, 1e9, 2.0});
+  options.fault_plan = faults;
+  const auto result = SearchBestStrategy(Method::kDapple, config, cluster, 64, options);
+  ASSERT_TRUE(result.best.has_value());
+  EXPECT_EQ(result.best->strategy.pp, 8);
+  int rejected = 0;
+  for (const IterationResult& evaluated : result.evaluated) {
+    if (evaluated.strategy.pp == 4) {
+      EXPECT_FALSE(evaluated.feasible);
+      EXPECT_NE(evaluated.note.find("straggler stage 5"), std::string::npos) << evaluated.note;
+      ++rejected;
+    }
+  }
+  EXPECT_GT(rejected, 0);
+  EXPECT_EQ(result.simulated, static_cast<int>(result.evaluated.size()));
 }
 
 TEST(Planner, A100ClusterFindsNvlinkTensorParallelConfig) {
