@@ -8,7 +8,7 @@
 // correlation, worst relative score error, and whether the two-phase
 // search lands on the exhaustive winner. Throughput (candidates/sec,
 // cache-hit speedup) is machine-dependent and goes to stdout only, so
-// the CI drift job can diff the CSV byte for byte.
+// `ctest -L artifacts` can diff the CSV byte for byte.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
