@@ -210,9 +210,9 @@ PlacedBuild BuildPlaced(const model::TransformerConfig& config, const PlacedStra
   if (exact_cover != nullptr) {
     pb.build = BuildCandidate(config, placed.strategy, *exact_cover, global_batch, options);
   } else {
-    const int ranks = placed.strategy.layout().ranks();
-    const std::vector<hw::LayoutIssue> issues =
-        placed.strategy.layout().Validate(topology, placed.placement);
+    const hw::ParallelLayout layout = placed.strategy.layout();
+    const int ranks = layout.ranks();
+    const std::vector<hw::LayoutIssue> issues = layout.Validate(topology, placed.placement);
     if (!issues.empty()) {
       pb.build.note = issues.front().message;
       return pb;
