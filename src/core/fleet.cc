@@ -362,14 +362,14 @@ std::string OomNote(const hw::ClusterTopology& topology, const PlacedStrategy& p
 
 // The one result assembly both pricers share: DP sync, iteration time,
 // per-stage memory on the hosting tier with the ZBV-capped floor, the OOM
-// verdict, and MFU. `measured` is the table replay, or the engine run's
-// summary in the same terms; `mitigation_scale` is the per-stage layer
-// share of an adopted straggler mitigation (empty when none was adopted).
-// Timeline, schedule and mitigation fields are left to the caller.
+// verdict, and MFU. `measured` is the engine run or the table replay;
+// `mitigation_scale` is the per-stage layer share of an adopted
+// straggler mitigation (empty when none was adopted). Timeline, schedule
+// and mitigation fields are left to the caller.
 IterationResult Assemble(const model::TransformerConfig& config, const PlacedStrategy& placed,
                          const hw::ClusterTopology& topology, int global_batch,
                          const IterationOptions& options, const PlacedBuild& pb,
-                         const TablePrice& measured,
+                         const sim::SimResult& measured,
                          const std::vector<double>& mitigation_scale = {}) {
   const Strategy& strategy = placed.strategy;
   const TrainingCostModel& costs = *pb.build.costs;
@@ -381,9 +381,9 @@ IterationResult Assemble(const model::TransformerConfig& config, const PlacedStr
   if (options.dp_overlap) {
     // The buckets were scheduled against the timeline; only the tail
     // past the makespan is paid.
-    result.dp.serialized = measured.dp_serialized;
-    result.dp.hidden = measured.dp_hidden;
-    result.dp.exposed = measured.dp_exposed;
+    result.dp.serialized = measured.dp.serialized;
+    result.dp.hidden = measured.dp.hidden;
+    result.dp.exposed = measured.dp.exposed;
   } else {
     // Monolithic sync after the flush: everything is exposed.
     result.dp.serialized = SerializedDpSync(topology, placed, pb);
@@ -419,7 +419,7 @@ IterationResult Assemble(const model::TransformerConfig& config, const PlacedStr
         mitigation_scale.empty()
             ? stage_static
             : Scaled(costs.StaticMemory(stage), pb.static_scale[s] * mitigation_scale[s]);
-    Bytes total = held_static + measured.stage_peak_activation[s];
+    Bytes total = held_static + measured.stages[s].peak_activation;
     if (floored) {
       const Bytes floor = Scaled(honest, pb.static_scale[s]);
       result.peak_activation = std::max(result.peak_activation, floor);
@@ -525,19 +525,8 @@ PlacedIterationResult SimulateOn(const model::TransformerConfig& config,
     }
   }
 
-  TablePrice measured;
-  measured.makespan = sim.makespan;
-  measured.bubble_ratio = sim.bubble_ratio;
-  measured.peak_activation = sim.peak_activation;
-  for (const sim::StageMetrics& stage : sim.stages) {
-    measured.stage_peak_activation.push_back(stage.peak_activation);
-  }
-  measured.dp_serialized = sim.dp.serialized;
-  measured.dp_hidden = sim.dp.hidden;
-  measured.dp_exposed = sim.dp.exposed;
   IterationResult& result = out.result;
-  result =
-      Assemble(config, placed, topology, global_batch, options, pb, measured, mitigation_scale);
+  result = Assemble(config, placed, topology, global_batch, options, pb, sim, mitigation_scale);
   result.mitigation.rebalanced = !mitigation_scale.empty();
   result.mitigation.unmitigated_pipeline_time = unmitigated_makespan;
   if (!options.keep_timeline) {
@@ -592,13 +581,13 @@ PlacedSurrogateResult PriceOn(const model::TransformerConfig& config,
     result.note = std::move(pb.build.note);
   } else {
     const sim::CostModelStack stack = PlacedCosts(pb, topology, placed);
-    TableOptions table;
+    sim::TableOptions table;
     table.wgrad_mode = pb.build.wgrad_mode;
     table.activation_budget = pb.build.activation_budget;
     table.dp_overlap = options.iteration.dp_overlap;
     IterationResult assembled =
         Assemble(config, placed, topology, global_batch, options.iteration, pb,
-                 PriceScheduleTable(pb.build.schedule, stack.model(), table));
+                 sim::PriceScheduleTable(pb.build.schedule, stack.model(), table));
     result.feasible = assembled.feasible;
     result.note = std::move(assembled.note);
     result.micros = assembled.micros;

@@ -145,7 +145,7 @@ PlacedIterationResult SimulatePlacedIteration(const model::TransformerConfig& co
                                               int global_batch,
                                               const IterationOptions& options = {});
 
-// Analytic counterpart (tabular critical-path pass), cacheable through
+// Surrogate counterpart (sim::PriceScheduleTable), cacheable through
 // SurrogateOptions::cache — keys carry TopologyFingerprint and the
 // placement hash so fleet prices never collide with homogeneous ones.
 PlacedSurrogateResult SurrogatePricePlaced(const model::TransformerConfig& config,

@@ -3,335 +3,12 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <deque>
 
 #include "common/check.h"
 #include "core/deployment.h"
-#include "sched/dependency.h"
 
 namespace mepipe::core {
 namespace {
-
-using sched::Dep;
-using sched::OpId;
-using sched::OpKind;
-
-constexpr double kEps = 1e-12;
-
-// ---- Tabular critical-path pass -------------------------------------------
-//
-// The engine's list-scheduling loop on dense arenas: op completion times
-// live in a flat vector indexed by (kind, micro, slice, chunk) instead of
-// hash maps, dependencies are enumerated allocation-free through
-// sched::ForEachDependency, and nothing is recorded per op — the pass
-// keeps only per-stage clocks, busy sums, and running memory counters.
-// Cross-stage readiness is producer-done + transfer time (no per-link
-// serialization): the one structural approximation, exact whenever
-// transfers are free.
-class TableSim {
- public:
-  TableSim(const sched::Schedule& schedule, const sim::CostModel& costs,
-           const TableOptions& options)
-      : schedule_(schedule),
-        problem_(schedule.problem),
-        costs_(costs),
-        options_(options),
-        chunks_(problem_.num_chunks()),
-        done_(static_cast<std::size_t>(3) * static_cast<std::size_t>(problem_.micros) *
-                  static_cast<std::size_t>(problem_.slices) *
-                  static_cast<std::size_t>(chunks_),
-              kNotDone),
-        cursor_(static_cast<std::size_t>(problem_.stages), 0),
-        clock_(static_cast<std::size_t>(problem_.stages), 0.0),
-        wqueue_(static_cast<std::size_t>(problem_.stages)),
-        current_bytes_(static_cast<std::size_t>(problem_.stages), 0),
-        peak_bytes_(static_cast<std::size_t>(problem_.stages), 0),
-        busy_(static_cast<std::size_t>(problem_.stages), 0.0),
-        overflow_count_(static_cast<std::size_t>(problem_.stages), 0) {
-    if (!options_.activation_budget.empty()) {
-      MEPIPE_CHECK_EQ(options_.activation_budget.size(),
-                      static_cast<std::size_t>(problem_.stages))
-          << "activation_budget must have one entry per stage";
-    }
-  }
-
-  TablePrice Run();
-
- private:
-  static constexpr Seconds kNotDone = -1.0;
-
-  struct WgradItem {
-    OpId op;
-    Seconds available = 0;
-    int next_gemm = 0;
-    int gemm_count = 1;
-  };
-
-  std::size_t Index(const OpId& op) const {
-    // kForward=0, kBackward=1, kWeightGrad=2 (per-GEMM splits and DP
-    // buckets never land in the arena).
-    const auto kind = static_cast<std::size_t>(op.kind);
-    return ((kind * static_cast<std::size_t>(problem_.micros) +
-             static_cast<std::size_t>(op.micro)) *
-                static_cast<std::size_t>(problem_.slices) +
-            static_cast<std::size_t>(op.slice)) *
-               static_cast<std::size_t>(chunks_) +
-           static_cast<std::size_t>(op.chunk);
-  }
-
-  Seconds DoneTime(const OpId& op) const { return done_[Index(op)]; }
-  void MarkDone(const OpId& op, Seconds t) { done_[Index(op)] = t; }
-
-  bool DepsDone(const OpId& op) const {
-    bool ok = true;
-    sched::ForEachDependency(problem_, op, [&](const Dep& dep) {
-      ok = ok && done_[Index(dep.op)] != kNotDone;
-    });
-    return ok;
-  }
-
-  Seconds ReadyTime(const OpId& op) const {
-    Seconds ready = 0.0;
-    sched::ForEachDependency(problem_, op, [&](const Dep& dep) {
-      const Seconds done = done_[Index(dep.op)];
-      ready = std::max(ready, dep.cross_stage ? done + costs_.TransferTime(dep.op) : done);
-    });
-    return ready;
-  }
-
-  void Record(int stage, Seconds start, Seconds end) {
-    busy_[static_cast<std::size_t>(stage)] += end - start;
-    makespan_ = std::max(makespan_, end);
-  }
-
-  void AddMem(int stage, Bytes delta) {
-    Bytes& current = current_bytes_[static_cast<std::size_t>(stage)];
-    current += delta;
-    peak_bytes_[static_cast<std::size_t>(stage)] =
-        std::max(peak_bytes_[static_cast<std::size_t>(stage)], current);
-  }
-
-  void ReleaseSlice(int stage, const OpId& op, bool release_act_grad) {
-    const OpId forward{OpKind::kForward, op.micro, op.slice, op.chunk, -1, op.job};
-    AddMem(stage, -costs_.ActivationBytes(forward));
-    if (release_act_grad) {
-      const OpId backward{OpKind::kBackward, op.micro, op.slice, op.chunk, -1, op.job};
-      AddMem(stage, -costs_.ActGradBytes(backward));
-    }
-  }
-
-  void FillWgrad(int stage, Seconds until) {
-    if (options_.wgrad_mode == sim::WgradMode::kImmediate) {
-      return;
-    }
-    auto& queue = wqueue_[static_cast<std::size_t>(stage)];
-    double& clock = clock_[static_cast<std::size_t>(stage)];
-    while (!queue.empty()) {
-      WgradItem& item = queue.front();
-      if (item.available > clock + kEps) {
-        break;
-      }
-      const OpId gemm_op{OpKind::kWeightGradGemm, item.op.micro, item.op.slice, item.op.chunk,
-                         item.next_gemm, item.op.job};
-      const OpId& exec_op = item.gemm_count > 1 ? gemm_op : item.op;
-      const Seconds end = clock + costs_.ComputeTime(exec_op);
-      if (end > until + kEps) {
-        break;
-      }
-      Record(stage, clock, end);
-      clock = end;
-      if (++item.next_gemm >= item.gemm_count) {
-        MarkDone(item.op, clock);
-        ReleaseSlice(stage, item.op, /*release_act_grad=*/true);
-        queue.pop_front();
-      }
-    }
-  }
-
-  void DrainForBudget(int stage, Bytes incoming) {
-    if (options_.activation_budget.empty()) {
-      return;
-    }
-    const Bytes budget = options_.activation_budget[static_cast<std::size_t>(stage)];
-    if (budget <= 0) {
-      return;
-    }
-    auto& queue = wqueue_[static_cast<std::size_t>(stage)];
-    while (!queue.empty() &&
-           current_bytes_[static_cast<std::size_t>(stage)] + incoming > budget) {
-      DrainWgradItem(stage, queue.front());
-      queue.pop_front();
-    }
-    if (current_bytes_[static_cast<std::size_t>(stage)] + incoming > budget) {
-      ++overflow_count_[static_cast<std::size_t>(stage)];
-    }
-  }
-
-  void DrainWgradItem(int stage, WgradItem& item) {
-    double& clock = clock_[static_cast<std::size_t>(stage)];
-    clock = std::max(clock, item.available);
-    if (item.gemm_count <= 1) {
-      const Seconds end = clock + costs_.ComputeTime(item.op);
-      Record(stage, clock, end);
-      clock = end;
-    } else {
-      for (; item.next_gemm < item.gemm_count; ++item.next_gemm) {
-        const OpId gemm_op{OpKind::kWeightGradGemm, item.op.micro, item.op.slice, item.op.chunk,
-                           item.next_gemm, item.op.job};
-        const Seconds end = clock + costs_.ComputeTime(gemm_op);
-        Record(stage, clock, end);
-        clock = end;
-      }
-    }
-    MarkDone(item.op, clock);
-    ReleaseSlice(stage, item.op, /*release_act_grad=*/true);
-  }
-
-  void RunDpSync(TablePrice& price) const {
-    Seconds last_end = 0;
-    for (int stage = 0; stage < problem_.stages; ++stage) {
-      std::vector<std::pair<Seconds, Seconds>> buckets;  // (ready, duration)
-      Seconds total = 0;
-      for (const OpId& bucket : sched::DpSyncOps(problem_, stage, schedule_.job)) {
-        const Seconds duration = costs_.DpSyncTime(bucket);
-        if (duration <= 0) {
-          continue;
-        }
-        Seconds ready = 0;
-        sched::ForEachDependency(problem_, bucket, [&](const Dep& dep) {
-          ready = std::max(ready, done_[Index(dep.op)]);
-        });
-        buckets.push_back({ready, duration});
-        total += duration;
-      }
-      std::stable_sort(buckets.begin(), buckets.end(),
-                       [](const auto& a, const auto& b) { return a.first < b.first; });
-      Seconds stream = 0;
-      for (const auto& [ready, duration] : buckets) {
-        stream = std::max(stream, ready) + duration;
-      }
-      price.dp_serialized = std::max(price.dp_serialized, total);
-      last_end = std::max(last_end, stream);
-    }
-    price.dp_exposed = std::max(0.0, last_end - makespan_);
-    price.dp_hidden = std::max(0.0, price.dp_serialized - price.dp_exposed);
-  }
-
-  const sched::Schedule& schedule_;
-  const sched::PipelineProblem& problem_;
-  const sim::CostModel& costs_;
-  const TableOptions& options_;
-
-  int chunks_;
-  std::vector<Seconds> done_;
-  std::vector<std::size_t> cursor_;
-  std::vector<double> clock_;
-  std::vector<std::deque<WgradItem>> wqueue_;
-  std::vector<Bytes> current_bytes_;
-  std::vector<Bytes> peak_bytes_;
-  std::vector<Seconds> busy_;
-  std::vector<int> overflow_count_;
-  Seconds makespan_ = 0;
-};
-
-TablePrice TableSim::Run() {
-  std::size_t remaining = 0;
-  for (const auto& ops : schedule_.stage_ops) {
-    remaining += ops.size();
-  }
-
-  while (remaining > 0) {
-    bool progress = false;
-    for (int stage = 0; stage < problem_.stages; ++stage) {
-      auto& cursor = cursor_[static_cast<std::size_t>(stage)];
-      const auto& ops = schedule_.stage_ops[static_cast<std::size_t>(stage)];
-      double& clock = clock_[static_cast<std::size_t>(stage)];
-      while (cursor < ops.size()) {
-        const OpId& op = ops[cursor];
-        if (!DepsDone(op)) {
-          break;
-        }
-        const Seconds ready = ReadyTime(op);
-        if (ready > clock) {
-          FillWgrad(stage, ready);
-        }
-        if (op.kind == OpKind::kForward) {
-          DrainForBudget(stage, costs_.ActivationBytes(op));
-        } else if (op.kind == OpKind::kBackward && problem_.split_backward) {
-          DrainForBudget(stage, costs_.ActGradBytes(op));
-        }
-        const Seconds start = std::max(clock, ready);
-        const Seconds end = start + costs_.ComputeTime(op);
-        Record(stage, start, end);
-        clock = end;
-        MarkDone(op, end);
-
-        switch (op.kind) {
-          case OpKind::kForward:
-            AddMem(stage, costs_.ActivationBytes(op));
-            break;
-          case OpKind::kBackward:
-            if (!problem_.split_backward) {
-              ReleaseSlice(stage, op, /*release_act_grad=*/false);
-            } else {
-              AddMem(stage, costs_.ActGradBytes(op));
-              if (schedule_.deferred_wgrad) {
-                const OpId w{OpKind::kWeightGrad, op.micro, op.slice, op.chunk, -1, op.job};
-                WgradItem item{w, end, 0,
-                               options_.wgrad_mode == sim::WgradMode::kFillGemms
-                                   ? costs_.WeightGradGemmCount(w)
-                                   : 1};
-                if (options_.wgrad_mode == sim::WgradMode::kImmediate) {
-                  DrainWgradItem(stage, item);
-                } else {
-                  wqueue_[static_cast<std::size_t>(stage)].push_back(item);
-                }
-              }
-            }
-            break;
-          case OpKind::kWeightGrad:
-            ReleaseSlice(stage, op, /*release_act_grad=*/true);
-            break;
-          case OpKind::kWeightGradGemm:
-          case OpKind::kDpSync:
-            MEPIPE_CHECK(false) << "op kind cannot appear in static orders";
-            break;
-        }
-        ++cursor;
-        --remaining;
-        progress = true;
-      }
-    }
-    MEPIPE_CHECK(progress) << "surrogate wedged with " << remaining << " ops left";
-  }
-
-  for (int stage = 0; stage < problem_.stages; ++stage) {
-    auto& queue = wqueue_[static_cast<std::size_t>(stage)];
-    while (!queue.empty()) {
-      DrainWgradItem(stage, queue.front());
-      queue.pop_front();
-    }
-  }
-
-  TablePrice price;
-  price.makespan = makespan_;
-  price.stage_busy = busy_;
-  price.stage_peak_activation = peak_bytes_;
-  double bubble_sum = 0;
-  for (int stage = 0; stage < problem_.stages; ++stage) {
-    price.peak_activation =
-        std::max(price.peak_activation, peak_bytes_[static_cast<std::size_t>(stage)]);
-    price.budget_violations += overflow_count_[static_cast<std::size_t>(stage)];
-    bubble_sum += makespan_ > 0
-                      ? 1.0 - busy_[static_cast<std::size_t>(stage)] / makespan_
-                      : 0.0;
-  }
-  price.bubble_ratio = problem_.stages > 0 ? bubble_sum / problem_.stages : 0.0;
-  if (options_.dp_overlap) {
-    RunDpSync(price);
-  }
-  return price;
-}
 
 // ---- Fingerprint hashing ---------------------------------------------------
 
@@ -368,11 +45,6 @@ void MixLink(Digest& digest, const hw::LinkSpec& link) {
 }
 
 }  // namespace
-
-TablePrice PriceScheduleTable(const sched::Schedule& schedule, const sim::CostModel& costs,
-                              const TableOptions& options) {
-  return TableSim(schedule, costs, options).Run();
-}
 
 std::uint64_t CostModelFingerprint(const model::TransformerConfig& config,
                                    const hw::ClusterSpec& cluster,

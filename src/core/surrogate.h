@@ -1,24 +1,24 @@
-// The surrogate planner subsystem: analytic candidate pricing for the
-// strategy grid search (ROADMAP item 1).
+// The surrogate planner subsystem: cheap candidate pricing for the
+// strategy grid search.
 //
-// The planner's bottleneck is that every (PP, DP, CP/SPP, VP, recompute)
-// candidate is priced with a full discrete-event simulation, and the
-// goodput objective adds a Monte-Carlo checkpoint-interval solve on top.
-// The surrogate replaces the first phase of that with a tabular
-// critical-path pass over the candidate's schedule — the same list
-// semantics sched::BuildScheduleTable uses, but charged with the
-// candidate's real CostModel — plus closed-form Young/Daly goodput
-// pricing, so 10⁴–10⁵ candidates can be ranked in seconds and the exact
+// Pricing every (PP, DP, CP/SPP, VP, recompute) candidate with the full
+// discrete-event simulation is the planner's bottleneck, and the goodput
+// objective adds a Monte-Carlo checkpoint-interval solve on top. The
+// surrogate replaces the first phase of that: it builds the candidate
+// exactly as SimulateIteration does, replays its schedule on the
+// engine's own kernel through sim::PriceScheduleTable (point-to-point
+// transfers, no timeline), and prices goodput in closed form
+// (Young/Daly), so 10⁴–10⁵ candidates can be ranked in seconds and the
 // DES runs only on the top-k survivors.
 //
 // Pricing contract (also in DESIGN.md):
-//  - Exact: per-stage program order, same-stage waits, deferred
-//    weight-gradient fills (all three WgradModes), activation-budget
-//    drains, running activation/act-grad memory, the monolithic DP sync,
-//    and the overlapped per-bucket DP stream when the fabric is not
-//    shared. For transfer-free cost models the surrogate's makespan,
-//    peak memory, and bubble fraction equal the engine's bit for bit.
-//  - Approximate: cross-stage transfers are charged point-to-point
+//  - Exact on transfer-free costs, by construction: the table replay and
+//    sim::Simulate share every line of the list interpreter except the
+//    arrival rule of a cross-stage transfer — program order, same-stage
+//    waits, deferred weight-gradient fills (all three WgradModes),
+//    activation-budget drains, running memory, the overlapped per-bucket
+//    DP stream when the fabric is not shared, and the input checks.
+//  - Approximate: cross-stage transfers are charged point to point
 //    (arrival = producer done + transfer time) without per-directed-link
 //    serialization, and the overlapped DP stream ignores fabric
 //    contention (dp_link_shared). Both only shift readiness, so the
@@ -34,7 +34,6 @@
 #include <optional>
 #include <string>
 #include <unordered_map>
-#include <vector>
 
 #include "core/iteration.h"
 #include "core/resilience.h"
@@ -43,38 +42,9 @@ namespace mepipe::core {
 
 // ---- Tabular schedule pricing ---------------------------------------------
 
-struct TableOptions {
-  sim::WgradMode wgrad_mode = sim::WgradMode::kFillGemms;
-  // Per-stage activation budget (empty = unbudgeted), same semantics as
-  // sim::EngineOptions::activation_budget.
-  std::vector<Bytes> activation_budget;
-  // Schedule the per-bucket DP sync stream against the finished table
-  // (fills the dp_* fields below); without it the caller prices the
-  // monolithic sync itself.
-  bool dp_overlap = false;
-};
-
-// What the critical-path pass measures. Mirrors sim::SimResult's summary
-// fields, minus the timeline.
-struct TablePrice {
-  Seconds makespan = 0;
-  double bubble_ratio = 0;        // mean of per-stage 1 - busy/makespan
-  Bytes peak_activation = 0;      // max over stages
-  int budget_violations = 0;
-  std::vector<Seconds> stage_busy;
-  std::vector<Bytes> stage_peak_activation;
-  // Overlapped-DP accounting (zero unless TableOptions::dp_overlap).
-  Seconds dp_serialized = 0;
-  Seconds dp_hidden = 0;
-  Seconds dp_exposed = 0;
-};
-
-// Prices `schedule` against `costs` with the engine's list semantics but
-// dense arenas, no timeline, and the approximations documented above.
-// The schedule is assumed valid (generators validate; the DES re-checks
-// survivors).
-TablePrice PriceScheduleTable(const sched::Schedule& schedule, const sim::CostModel& costs,
-                              const TableOptions& options = {});
+// The table replay lives beside the engine it shares a kernel with.
+using sim::PriceScheduleTable;
+using sim::TableOptions;
 
 // ---- Cost-model fingerprint + pricing cache -------------------------------
 
@@ -206,7 +176,7 @@ struct SurrogateOptions {
 };
 
 // Builds the candidate (core::BuildCandidate) and prices it with the
-// tabular pass. Infeasible candidates return feasible=false with the
+// table replay. Infeasible candidates return feasible=false with the
 // structural or OOM note, mirroring SimulateIteration. The single-tier
 // case of SurrogatePricePlaced (defined with it in core/fleet.cc), with
 // SimulateIteration's admissibility rules; cache keys carry

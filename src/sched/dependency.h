@@ -36,8 +36,8 @@ std::vector<Dep> DependenciesOf(const PipelineProblem& problem, const OpId& op);
 
 // Allocation-free dependency walk: invokes `visit(const Dep&)` for every
 // dependency of `op`. Single source of the dependency semantics above —
-// DependenciesOf, the engine's ready-time scan, and the surrogate's
-// critical-path pass all go through this.
+// DependenciesOf and the engine's ready-time scan (shared by the DES and
+// the surrogate's table replay) both go through this.
 template <typename Visitor>
 void ForEachDependency(const PipelineProblem& problem, const OpId& op,
                        Visitor&& visit) {

@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <deque>
 #include <limits>
 #include <optional>
+#include <type_traits>
 #include <utility>
 
 #include "common/check.h"
@@ -19,7 +21,7 @@ using sched::OpKind;
 
 constexpr double kEps = 1e-12;
 
-// Sentinel for "not recorded yet" in the dense time arenas below. All
+// Sentinel for "not recorded yet" in the dense completion arena. All
 // recorded times are >= 0, so the comparison is exact.
 constexpr Seconds kNotDone = -1.0;
 
@@ -31,37 +33,64 @@ struct WgradItem {
   int gemm_count = 1;    // 1 when executed as a whole-W task
 };
 
-struct MemEvent {
-  Seconds time = 0;
-  Bytes delta = 0;
+// One stage's compute stream and its running accounts.
+struct Stream {
+  std::size_t cursor = 0;        // next op of the program order
+  Seconds clock = 0;             // when the stream is next free
+  std::deque<WgradItem> wqueue;  // deferred W work, in B completion order
+  Bytes resident = 0;            // activations + retained act-grads
+  Bytes peak = 0;
+  Seconds busy = 0;
+  Seconds first_start = std::numeric_limits<Seconds>::infinity();
+  Seconds last_end = 0;
+  int overflow_count = 0;
+  Bytes overflow_bytes = 0;
 };
 
+// The list interpreter, instantiated on EngineOptions for Simulate and on
+// TableOptions for PriceScheduleTable. kTable selects point-to-point
+// transfer arrivals and compiles out the timeline, the memory series and
+// the fault hooks; every other line runs for both.
+template <typename Options>
 class Engine {
  public:
-  Engine(const sched::Schedule& schedule, const CostModel& costs, const EngineOptions& options)
-      : schedule_(schedule),
-        problem_(schedule.problem),
-        costs_(costs),
-        options_(options),
-        micros_(static_cast<std::size_t>(problem_.micros)),
-        slices_(static_cast<std::size_t>(problem_.slices)),
-        chunks_(static_cast<std::size_t>(problem_.num_chunks())),
-        done_(3 * micros_ * slices_ * chunks_, kNotDone),
-        transfer_arrival_(2 * micros_ * slices_ * chunks_, kNotDone),
-        link_free_(static_cast<std::size_t>(problem_.stages) *
-                       static_cast<std::size_t>(problem_.stages),
-                   0.0),
-        cursor_(static_cast<std::size_t>(problem_.stages), 0),
-        clock_(static_cast<std::size_t>(problem_.stages), 0.0),
-        wqueue_(static_cast<std::size_t>(problem_.stages)),
-        mem_events_(static_cast<std::size_t>(problem_.stages)),
-        current_bytes_(static_cast<std::size_t>(problem_.stages), 0),
-        busy_(static_cast<std::size_t>(problem_.stages), 0.0),
-        first_start_(static_cast<std::size_t>(problem_.stages),
-                     std::numeric_limits<Seconds>::infinity()),
-        last_end_(static_cast<std::size_t>(problem_.stages), 0.0),
-        overflow_count_(static_cast<std::size_t>(problem_.stages), 0),
-        overflow_bytes_(static_cast<std::size_t>(problem_.stages), 0) {
+  static constexpr bool kTable = std::is_same_v<Options, TableOptions>;
+
+  Engine(const sched::Schedule& schedule, const CostModel& costs, const Options& options)
+      : schedule_(schedule), problem_(schedule.problem), costs_(costs), options_(options) {
+    CheckInput();
+    micros_ = static_cast<std::size_t>(problem_.micros);
+    slices_ = static_cast<std::size_t>(problem_.slices);
+    chunks_ = static_cast<std::size_t>(problem_.num_chunks());
+    const auto stages = static_cast<std::size_t>(problem_.stages);
+    done_.assign(3 * micros_ * slices_ * chunks_, kNotDone);
+    streams_.resize(stages);
+    if constexpr (!kTable) {
+      link_free_.assign(stages * stages, 0.0);
+      if (options_.record_memory_timeline) {
+        memory_timeline_.resize(stages);
+      }
+      if (options_.fault_plan) {
+        faulty_.emplace(costs, options_.fault_plan, problem_.stages);
+      }
+    }
+  }
+
+  SimResult Run();
+
+ private:
+  // Rejects malformed input before anything is sized from it: the
+  // problem, the stage count, the budget, each stage's op count, and each
+  // op's kind, index ranges, owning stage, gemm and job tag. Run rejects
+  // a duplicate as it executes and a wedge as a deadlock; together that
+  // is exactly sched::ValidateSchedule's acceptance, at O(1) per op.
+  void CheckInput() const {
+    problem_.Validate();
+    MEPIPE_CHECK_EQ(static_cast<int>(schedule_.stage_ops.size()), problem_.stages)
+        << "schedule lists " << schedule_.stage_ops.size() << " stages for a "
+        << problem_.stages << "-stage problem";
+    MEPIPE_CHECK(!schedule_.deferred_wgrad || problem_.split_backward)
+        << "deferred W requires split backward";
     if (!options_.activation_budget.empty()) {
       MEPIPE_CHECK_EQ(options_.activation_budget.size(),
                       static_cast<std::size_t>(problem_.stages))
@@ -70,23 +99,41 @@ class Engine {
         MEPIPE_CHECK_GE(budget, 0) << "negative activation budget";
       }
     }
-    if (options_.fault_plan) {
-      faulty_.emplace(costs, options_.fault_plan, problem_.stages);
+    const bool static_w = problem_.split_backward && !schedule_.deferred_wgrad;
+    const std::int64_t per_stage = static_cast<std::int64_t>(problem_.micros) *
+                                   problem_.slices * problem_.virtual_chunks * (static_w ? 3 : 2);
+    std::vector<int> owner(static_cast<std::size_t>(problem_.num_chunks()));
+    for (int chunk = 0; chunk < problem_.num_chunks(); ++chunk) {
+      owner[static_cast<std::size_t>(chunk)] = problem_.stage_of_chunk(chunk);
+    }
+    for (int stage = 0; stage < problem_.stages; ++stage) {
+      const auto& ops = schedule_.stage_ops[static_cast<std::size_t>(stage)];
+      MEPIPE_CHECK_EQ(static_cast<std::int64_t>(ops.size()), per_stage)
+          << "stage " << stage << " lists " << ops.size() << " ops, expected " << per_stage;
+      for (const OpId& op : ops) {
+        MEPIPE_CHECK(op.kind == OpKind::kForward || op.kind == OpKind::kBackward ||
+                     (static_w && op.kind == OpKind::kWeightGrad))
+            << sched::ToString(op) << " cannot appear in a program order of this schedule";
+        MEPIPE_CHECK(op.micro >= 0 && op.micro < problem_.micros && op.slice >= 0 &&
+                     op.slice < problem_.slices && op.chunk >= 0 &&
+                     op.chunk < problem_.num_chunks())
+            << sched::ToString(op) << " is out of range";
+        MEPIPE_CHECK_EQ(owner[static_cast<std::size_t>(op.chunk)], stage)
+            << sched::ToString(op) << " is listed on stage " << stage;
+        MEPIPE_CHECK_EQ(op.gemm, -1) << sched::ToString(op) << " names a GEMM";
+        MEPIPE_CHECK_EQ(op.job, schedule_.job)
+            << sched::ToString(op) << " is not tagged with the schedule's job " << schedule_.job;
+      }
     }
   }
 
-  SimResult Run();
-
- private:
   // Dense arena index for an op's completion slot. Only F/B/W identities
   // are recorded (per-GEMM splits and DP buckets are never dependency
-  // targets), so three kind planes of micros × slices × chunks cover the
-  // whole space with a single subtraction-free computation.
+  // targets), so the kind planes kForward=0, kBackward=1, kWeightGrad=2
+  // of micros × slices × chunks cover the whole space.
   std::size_t OpIndex(const OpId& op) const {
-    const std::size_t kind = op.kind == OpKind::kForward   ? 0
-                             : op.kind == OpKind::kBackward ? 1
-                                                            : 2;
-    return ((kind * micros_ + static_cast<std::size_t>(op.micro)) * slices_ +
+    return ((static_cast<std::size_t>(op.kind) * micros_ + static_cast<std::size_t>(op.micro)) *
+                slices_ +
             static_cast<std::size_t>(op.slice)) *
                chunks_ +
            static_cast<std::size_t>(op.chunk);
@@ -95,49 +142,42 @@ class Engine {
   Seconds DoneTime(const OpId& op) const { return done_[OpIndex(op)]; }
   bool IsDone(const OpId& op) const { return done_[OpIndex(op)] != kNotDone; }
   void SetDone(const OpId& op, Seconds time) { done_[OpIndex(op)] = time; }
+  Stream& StreamOf(int stage) { return streams_[static_cast<std::size_t>(stage)]; }
 
-  // Arrival time of `producer`'s output at the consuming stage, applying
-  // per-directed-link serialization. Memoized (each producer feeds one
-  // consumer). Transfer producers are F/B only, so the first two kind
-  // planes of the arena suffice.
-  Seconds TransferArrival(const OpId& producer) {
-    Seconds& memo = transfer_arrival_[OpIndex(producer)];
-    if (memo != kNotDone) {
-      return memo;
-    }
+  // Arrival time of `producer`'s output at the consuming stage. The table
+  // replay charges it point to point; the engine serializes transfers per
+  // directed stage-pair link and records each one. Every producer feeds
+  // one cross-stage consumer, so each arrival is asked for once.
+  Seconds Arrival(const OpId& producer) {
     const Seconds done = DoneTime(producer);
-    MEPIPE_CHECK(done != kNotDone);
-    const int from = problem_.stage_of_chunk(producer.chunk);
-    const int to = producer.kind == OpKind::kForward
-                       ? problem_.stage_of_chunk(producer.chunk + 1)
-                       : problem_.stage_of_chunk(producer.chunk - 1);
-    double& link_free = link_free_[static_cast<std::size_t>(from) *
-                                       static_cast<std::size_t>(problem_.stages) +
-                                   static_cast<std::size_t>(to)];
-    Seconds start = std::max(done, link_free);
-    Seconds arrival;
-    if (faulty_) {
-      start = faulty_->NextUpTime(start);
-      arrival = faulty_->TransferEndAt(from, to, producer, start);
+    if constexpr (kTable) {
+      return done + costs_.TransferTime(producer);
     } else {
-      arrival = start + costs_.TransferTime(producer);
+      const int from = problem_.stage_of_chunk(producer.chunk);
+      const int to = producer.kind == OpKind::kForward
+                         ? problem_.stage_of_chunk(producer.chunk + 1)
+                         : problem_.stage_of_chunk(producer.chunk - 1);
+      double& link_free = link_free_[static_cast<std::size_t>(from) *
+                                         static_cast<std::size_t>(problem_.stages) +
+                                     static_cast<std::size_t>(to)];
+      Seconds start = std::max(done, link_free);
+      Seconds arrival;
+      if (faulty_) {
+        start = faulty_->NextUpTime(start);
+        arrival = faulty_->TransferEndAt(from, to, producer, start);
+      } else {
+        arrival = start + costs_.TransferTime(producer);
+      }
+      link_free = arrival;
+      timeline_.push_back({from, producer, start, arrival, /*is_transfer=*/true});
+      return arrival;
     }
-    link_free = arrival;
-    timeline_.push_back({from, producer, start, arrival, /*is_transfer=*/true});
-    memo = arrival;
-    return arrival;
   }
 
   Seconds ReadyTime(const OpId& op) {
     Seconds ready = 0.0;
     sched::ForEachDependency(problem_, op, [&](const Dep& dep) {
-      if (dep.cross_stage) {
-        ready = std::max(ready, TransferArrival(dep.op));
-      } else {
-        const Seconds done = DoneTime(dep.op);
-        MEPIPE_CHECK(done != kNotDone);
-        ready = std::max(ready, done);
-      }
+      ready = std::max(ready, dep.cross_stage ? Arrival(dep.op) : DoneTime(dep.op));
     });
     return ready;
   }
@@ -152,25 +192,50 @@ class Engine {
 
   // Fault-aware pricing: where a compute op started at `start` finishes.
   Seconds ComputeEnd(int stage, const OpId& op, Seconds start) const {
-    return faulty_ ? faulty_->ComputeEndAt(stage, op, start)
-                   : start + costs_.ComputeTime(op);
+    if constexpr (!kTable) {
+      if (faulty_) {
+        return faulty_->ComputeEndAt(stage, op, start);
+      }
+    }
+    return start + costs_.ComputeTime(op);
   }
 
   // First instant >= t the stage may start work (skips fail-stop downtime).
-  Seconds StartAt(Seconds t) const { return faulty_ ? faulty_->NextUpTime(t) : t; }
-
-  void RecordCompute(int stage, const OpId& op, Seconds start, Seconds end) {
-    timeline_.push_back({stage, op, start, end, /*is_transfer=*/false});
-    busy_[static_cast<std::size_t>(stage)] += end - start;
-    first_start_[static_cast<std::size_t>(stage)] =
-        std::min(first_start_[static_cast<std::size_t>(stage)], start);
-    last_end_[static_cast<std::size_t>(stage)] =
-        std::max(last_end_[static_cast<std::size_t>(stage)], end);
+  Seconds StartAt(Seconds t) const {
+    if constexpr (!kTable) {
+      if (faulty_) {
+        return faulty_->NextUpTime(t);
+      }
+    }
+    return t;
   }
 
+  void RecordCompute(int stage, const OpId& op, Seconds start, Seconds end) {
+    if constexpr (!kTable) {
+      timeline_.push_back({stage, op, start, end, /*is_transfer=*/false});
+    }
+    Stream& s = StreamOf(stage);
+    s.busy += end - start;
+    s.first_start = std::min(s.first_start, start);
+    s.last_end = std::max(s.last_end, end);
+  }
+
+  // A stage's memory only changes at its own clock, which never runs
+  // backwards, so the running peak and the series need no sorting.
   void AddMem(int stage, Seconds time, Bytes delta) {
-    mem_events_[static_cast<std::size_t>(stage)].push_back({time, delta});
-    current_bytes_[static_cast<std::size_t>(stage)] += delta;
+    Stream& s = StreamOf(stage);
+    s.resident += delta;
+    s.peak = std::max(s.peak, s.resident);
+    if constexpr (!kTable) {
+      if (options_.record_memory_timeline) {
+        auto& series = memory_timeline_[static_cast<std::size_t>(stage)];
+        if (!series.empty() && series.back().time == time) {
+          series.back().bytes = s.resident;  // coalesce simultaneous deltas
+        } else {
+          series.push_back({time, s.resident});
+        }
+      }
+    }
   }
 
   // Releases the activation (and act-grad) footprint of (micro, slice,
@@ -190,27 +255,26 @@ class Engine {
     if (options_.wgrad_mode == WgradMode::kImmediate) {
       return;
     }
-    auto& queue = wqueue_[static_cast<std::size_t>(stage)];
-    double& clock = clock_[static_cast<std::size_t>(stage)];
-    while (!queue.empty()) {
-      WgradItem& item = queue.front();
-      if (item.available > clock + kEps) {
+    Stream& s = StreamOf(stage);
+    while (!s.wqueue.empty()) {
+      WgradItem& item = s.wqueue.front();
+      if (item.available > s.clock + kEps) {
         break;
       }
       const OpId gemm_op{OpKind::kWeightGradGemm, item.op.micro, item.op.slice, item.op.chunk,
                          item.next_gemm, item.op.job};
-      const OpId exec_op = item.gemm_count > 1 ? gemm_op : item.op;
-      const Seconds start = StartAt(clock);
+      const OpId& exec_op = item.gemm_count > 1 ? gemm_op : item.op;
+      const Seconds start = StartAt(s.clock);
       const Seconds end = ComputeEnd(stage, exec_op, start);
       if (end > until + kEps) {
         break;  // does not fit in the bubble
       }
       RecordCompute(stage, exec_op, start, end);
-      clock = end;
+      s.clock = end;
       if (++item.next_gemm >= item.gemm_count) {
-        SetDone(item.op, clock);
-        ReleaseSlice(stage, item.op, clock, /*release_act_grad=*/true);
-        queue.pop_front();
+        SetDone(item.op, end);
+        ReleaseSlice(stage, item.op, end, /*release_act_grad=*/true);
+        s.wqueue.pop_front();
       }
     }
   }
@@ -228,40 +292,67 @@ class Engine {
     if (budget <= 0) {
       return;  // 0 = this stage is unbudgeted
     }
-    auto& queue = wqueue_[static_cast<std::size_t>(stage)];
-    while (!queue.empty() &&
-           current_bytes_[static_cast<std::size_t>(stage)] + incoming > budget) {
-      DrainWgradItem(stage, queue.front());
-      queue.pop_front();
+    Stream& s = StreamOf(stage);
+    while (!s.wqueue.empty() && s.resident + incoming > budget) {
+      DrainWgradItem(stage, s.wqueue.front());
+      s.wqueue.pop_front();
     }
-    const Bytes resident = current_bytes_[static_cast<std::size_t>(stage)] + incoming;
+    const Bytes resident = s.resident + incoming;
     if (resident > budget) {
       const Bytes overflow = resident - budget;
-      MEPIPE_CHECK(!options_.strict_activation_budget)
-          << "stage " << stage << " exceeds its activation budget by " << overflow
-          << " bytes with no deferred W work left to drain";
-      ++overflow_count_[static_cast<std::size_t>(stage)];
-      overflow_bytes_[static_cast<std::size_t>(stage)] =
-          std::max(overflow_bytes_[static_cast<std::size_t>(stage)], overflow);
+      if constexpr (!kTable) {
+        MEPIPE_CHECK(!options_.strict_activation_budget)
+            << "stage " << stage << " exceeds its activation budget by " << overflow
+            << " bytes with no deferred W work left to drain";
+      }
+      ++s.overflow_count;
+      s.overflow_bytes = std::max(s.overflow_bytes, overflow);
     }
   }
 
+  // Runs a W item (whole or remaining GEMMs) to completion immediately.
+  void DrainWgradItem(int stage, WgradItem& item) {
+    Stream& s = StreamOf(stage);
+    s.clock = std::max(s.clock, item.available);
+    if (item.gemm_count <= 1) {
+      const Seconds start = StartAt(s.clock);
+      const Seconds end = ComputeEnd(stage, item.op, start);
+      RecordCompute(stage, item.op, start, end);
+      s.clock = end;
+    } else {
+      for (; item.next_gemm < item.gemm_count; ++item.next_gemm) {
+        const OpId gemm_op{OpKind::kWeightGradGemm, item.op.micro, item.op.slice, item.op.chunk,
+                           item.next_gemm, item.op.job};
+        const Seconds start = StartAt(s.clock);
+        const Seconds end = ComputeEnd(stage, gemm_op, start);
+        RecordCompute(stage, gemm_op, start, end);
+        s.clock = end;
+      }
+    }
+    SetDone(item.op, s.clock);
+    ReleaseSlice(stage, item.op, s.clock, /*release_act_grad=*/true);
+  }
+
   // Schedules every stage's DP gradient buckets on that stage's comm
-  // stream against the finished timeline. Each bucket starts at
-  // max(stream free, last gradient producer done); with dp_link_shared
-  // its transmission is additionally suspended while pipeline transfers
-  // touching the stage hold the fabric. Fills result.dp and, per stage,
-  // dp_busy. Correctness of the hidden/exposed split: every bucket
+  // stream against the finished run. Each bucket starts at max(stream
+  // free, last gradient producer done); with dp_link_shared its
+  // transmission is additionally suspended while pipeline transfers
+  // touching the stage hold the fabric. Fills result.dp and each stage's
+  // dp_sync. Correctness of the hidden/exposed split: every bucket
   // dependency and every pipeline transfer ends by result.makespan, so
   // past the makespan the stream runs gap-free and unstretched — the
   // exposed tail per stage is at most that stage's summed bucket cost,
   // hence exposed <= serialized and hidden >= 0.
-  void RunDpSync(SimResult& result, std::vector<Seconds>& dp_busy) {
+  void RunDpSync(SimResult& result) {
+    bool shared = false;
+    if constexpr (!kTable) {
+      shared = options_.dp_link_shared;
+    }
     // Merged fabric-busy intervals per stage (either endpoint of a
     // pipeline transfer contends with that stage's DP ring).
     std::vector<std::vector<std::pair<Seconds, Seconds>>> fabric_busy(
         static_cast<std::size_t>(problem_.stages));
-    if (options_.dp_link_shared) {
+    if (shared) {
       for (const OpSpan& span : timeline_) {
         if (!span.is_transfer) {
           continue;
@@ -336,12 +427,13 @@ class Engine {
       for (const auto& [ready, bucket] : buckets) {
         const Seconds start = std::max(stream, ready);
         const Seconds end =
-            options_.dp_link_shared
-                ? advance(fabric_busy[static_cast<std::size_t>(stage)], start,
-                          costs_.DpSyncTime(bucket))
-                : start + costs_.DpSyncTime(bucket);
-        timeline_.push_back({stage, bucket, start, end, /*is_transfer=*/true});
-        dp_busy[static_cast<std::size_t>(stage)] += end - start;
+            shared ? advance(fabric_busy[static_cast<std::size_t>(stage)], start,
+                             costs_.DpSyncTime(bucket))
+                   : start + costs_.DpSyncTime(bucket);
+        if constexpr (!kTable) {
+          timeline_.push_back({stage, bucket, start, end, /*is_transfer=*/true});
+        }
+        result.stages[static_cast<std::size_t>(stage)].dp_sync += end - start;
         stream = end;
         ++result.dp.buckets;
       }
@@ -352,86 +444,53 @@ class Engine {
     result.dp.hidden = std::max(0.0, result.dp.serialized - result.dp.exposed);
   }
 
-  // Runs a W item (whole or remaining GEMMs) to completion immediately.
-  void DrainWgradItem(int stage, WgradItem& item) {
-    double& clock = clock_[static_cast<std::size_t>(stage)];
-    clock = std::max(clock, item.available);
-    if (item.gemm_count <= 1) {
-      const Seconds start = StartAt(clock);
-      const Seconds end = ComputeEnd(stage, item.op, start);
-      RecordCompute(stage, item.op, start, end);
-      clock = end;
-    } else {
-      for (; item.next_gemm < item.gemm_count; ++item.next_gemm) {
-        const OpId gemm_op{OpKind::kWeightGradGemm, item.op.micro, item.op.slice, item.op.chunk,
-                           item.next_gemm, item.op.job};
-        const Seconds start = StartAt(clock);
-        const Seconds end = ComputeEnd(stage, gemm_op, start);
-        RecordCompute(stage, gemm_op, start, end);
-        clock = end;
-      }
-    }
-    SetDone(item.op, clock);
-    ReleaseSlice(stage, item.op, clock, /*release_act_grad=*/true);
-  }
-
   const sched::Schedule& schedule_;
   const sched::PipelineProblem& problem_;
   const CostModel& costs_;
-  EngineOptions options_;
+  const Options& options_;
 
-  // Event arenas: completion times and memoized transfer arrivals live
-  // in dense per-op vectors (kNotDone sentinel) instead of hash maps,
+  // Completion times live in one dense per-op arena (kNotDone sentinel)
   // and the per-directed-link free times in a flat stages × stages
-  // matrix. One allocation each up front; the hot loop does index
-  // arithmetic only. Sized at construction from the problem shape.
-  const std::size_t micros_;
-  const std::size_t slices_;
-  const std::size_t chunks_;
+  // matrix, each allocated once; the hot loop does index arithmetic only.
+  std::size_t micros_ = 0;
+  std::size_t slices_ = 0;
+  std::size_t chunks_ = 0;
   std::vector<Seconds> done_;
-  std::vector<Seconds> transfer_arrival_;
+  std::vector<Stream> streams_;
+  // Simulate only.
   std::vector<double> link_free_;
-  std::vector<std::size_t> cursor_;
-  std::vector<double> clock_;
-  std::vector<std::deque<WgradItem>> wqueue_;
-  std::vector<std::vector<MemEvent>> mem_events_;
-  std::vector<Bytes> current_bytes_;
-  std::vector<Seconds> busy_;
-  std::vector<Seconds> first_start_;
-  std::vector<Seconds> last_end_;
-  std::vector<int> overflow_count_;
-  std::vector<Bytes> overflow_bytes_;
   std::vector<OpSpan> timeline_;
+  std::vector<std::vector<MemoryPoint>> memory_timeline_;
   std::optional<FaultyCostModel> faulty_;
 };
 
-SimResult Engine::Run() {
-  sched::ValidateSchedule(schedule_);
-
+template <typename Options>
+SimResult Engine<Options>::Run() {
   std::size_t remaining = 0;
   for (const auto& ops : schedule_.stage_ops) {
     remaining += ops.size();
   }
-  // Compute spans plus at most one transfer per F/B op; per-GEMM W
-  // splits can push past this, at which point the vector grows normally.
-  timeline_.reserve(2 * remaining);
-  for (auto& events : mem_events_) {
-    events.reserve(2 * remaining / std::max(1, problem_.stages));
+  if constexpr (!kTable) {
+    // Compute spans plus at most one transfer per F/B op; per-GEMM W
+    // splits can push past this, at which point the vector grows normally.
+    timeline_.reserve(2 * remaining);
   }
 
   while (remaining > 0) {
     bool progress = false;
     for (int stage = 0; stage < problem_.stages; ++stage) {
-      auto& cursor = cursor_[static_cast<std::size_t>(stage)];
+      Stream& s = StreamOf(stage);
       const auto& ops = schedule_.stage_ops[static_cast<std::size_t>(stage)];
-      double& clock = clock_[static_cast<std::size_t>(stage)];
-      while (cursor < ops.size()) {
-        const OpId& op = ops[cursor];
+      while (s.cursor < ops.size()) {
+        const OpId& op = ops[s.cursor];
         if (!DepsDone(op)) {
           break;
         }
+        Seconds& done = done_[OpIndex(op)];
+        MEPIPE_CHECK(done == kNotDone) << "stage " << stage << " lists " << sched::ToString(op)
+                                       << " twice";
         const Seconds ready = ReadyTime(op);
-        if (ready > clock) {
+        if (ready > s.clock) {
           FillWgrad(stage, ready);
         }
         if (op.kind == OpKind::kForward) {
@@ -439,58 +498,46 @@ SimResult Engine::Run() {
         } else if (op.kind == OpKind::kBackward && problem_.split_backward) {
           DrainForBudget(stage, costs_.ActGradBytes(op));
         }
-        const Seconds start = StartAt(std::max(clock, ready));
+        const Seconds start = StartAt(std::max(s.clock, ready));
         const Seconds end = ComputeEnd(stage, op, start);
         RecordCompute(stage, op, start, end);
-        clock = end;
-        SetDone(op, end);
+        s.clock = end;
+        done = end;
 
-        switch (op.kind) {
-          case OpKind::kForward:
-            AddMem(stage, end, costs_.ActivationBytes(op));
-            break;
-          case OpKind::kBackward:
-            if (!problem_.split_backward) {
-              ReleaseSlice(stage, op, end, /*release_act_grad=*/false);
+        if (op.kind == OpKind::kForward) {
+          AddMem(stage, end, costs_.ActivationBytes(op));
+        } else if (op.kind == OpKind::kWeightGrad) {
+          // Statically placed W (non-deferred split schedules).
+          ReleaseSlice(stage, op, end, /*release_act_grad=*/true);
+        } else if (!problem_.split_backward) {
+          ReleaseSlice(stage, op, end, /*release_act_grad=*/false);
+        } else {
+          AddMem(stage, end, costs_.ActGradBytes(op));
+          if (schedule_.deferred_wgrad) {
+            const OpId w{OpKind::kWeightGrad, op.micro, op.slice, op.chunk, -1, op.job};
+            WgradItem item{w, end, 0,
+                           options_.wgrad_mode == WgradMode::kFillGemms
+                               ? costs_.WeightGradGemmCount(w)
+                               : 1};
+            if (options_.wgrad_mode == WgradMode::kImmediate) {
+              DrainWgradItem(stage, item);
             } else {
-              AddMem(stage, end, costs_.ActGradBytes(op));
-              if (schedule_.deferred_wgrad) {
-                const OpId w{OpKind::kWeightGrad, op.micro, op.slice, op.chunk, -1, op.job};
-                WgradItem item{w, end, 0,
-                               options_.wgrad_mode == WgradMode::kFillGemms
-                                   ? costs_.WeightGradGemmCount(w)
-                                   : 1};
-                if (options_.wgrad_mode == WgradMode::kImmediate) {
-                  DrainWgradItem(stage, item);
-                } else {
-                  wqueue_[static_cast<std::size_t>(stage)].push_back(item);
-                }
-              }
+              s.wqueue.push_back(item);
             }
-            break;
-          case OpKind::kWeightGrad:
-            // Statically placed W (non-deferred split schedules).
-            ReleaseSlice(stage, op, end, /*release_act_grad=*/true);
-            break;
-          case OpKind::kWeightGradGemm:
-            MEPIPE_CHECK(false) << "per-GEMM ops cannot appear in static orders";
-            break;
-          case OpKind::kDpSync:
-            MEPIPE_CHECK(false) << "DP-sync ops run on comm streams, never in static orders";
-            break;
+          }
         }
-        ++cursor;
+        ++s.cursor;
         --remaining;
         progress = true;
       }
     }
-    MEPIPE_CHECK(progress) << "engine wedged with " << remaining
-                           << " ops left — schedule validation should have caught this";
+    MEPIPE_CHECK(progress) << "schedule deadlocks: " << remaining
+                           << " ops can never execute under program order";
   }
 
   // Drain any weight-gradient work still queued (zero-bubble tail).
   for (int stage = 0; stage < problem_.stages; ++stage) {
-    auto& queue = wqueue_[static_cast<std::size_t>(stage)];
+    auto& queue = StreamOf(stage).wqueue;
     while (!queue.empty()) {
       DrainWgradItem(stage, queue.front());
       queue.pop_front();
@@ -498,74 +545,52 @@ SimResult Engine::Run() {
   }
 
   SimResult result;
-  for (const OpSpan& span : timeline_) {
-    if (!span.is_transfer) {
-      result.makespan = std::max(result.makespan, span.end);
-    }
+  for (const Stream& s : streams_) {
+    result.makespan = std::max(result.makespan, s.last_end);
   }
+  result.stages.resize(static_cast<std::size_t>(problem_.stages));
 
   // Overlapped data-parallel gradient sync: a post-pass over the now
   // fixed compute/transfer timeline. Buckets only read completed
   // gradients, and under dp_link_shared DP yields the fabric to the
   // pipeline, so nothing above moves — how much sync hides in bubbles
   // and how much tail is exposed past the makespan simply emerges.
-  std::vector<Seconds> dp_busy(static_cast<std::size_t>(problem_.stages), 0.0);
   if (options_.dp_overlap) {
-    RunDpSync(result, dp_busy);
+    RunDpSync(result);
   }
 
-  result.stages.resize(static_cast<std::size_t>(problem_.stages));
   double bubble_sum = 0;
   for (int stage = 0; stage < problem_.stages; ++stage) {
+    const Stream& s = StreamOf(stage);
     StageMetrics& metrics = result.stages[static_cast<std::size_t>(stage)];
-    metrics.busy = busy_[static_cast<std::size_t>(stage)];
-    metrics.bubble_ratio =
-        result.makespan > 0 ? 1.0 - metrics.busy / result.makespan : 0.0;
-    const Seconds first = first_start_[static_cast<std::size_t>(stage)];
-    const Seconds last = last_end_[static_cast<std::size_t>(stage)];
-    if (first <= last) {  // the stage ran at least one compute op
-      metrics.warmup_idle = first;
-      metrics.steady_idle = std::max(0.0, (last - first) - metrics.busy);
-      metrics.drain_idle = std::max(0.0, result.makespan - last);
+    metrics.busy = s.busy;
+    metrics.peak_activation = s.peak;
+    metrics.bubble_ratio = result.makespan > 0 ? 1.0 - metrics.busy / result.makespan : 0.0;
+    if (s.first_start <= s.last_end) {  // the stage ran at least one compute op
+      metrics.warmup_idle = s.first_start;
+      metrics.steady_idle = std::max(0.0, (s.last_end - s.first_start) - metrics.busy);
+      metrics.drain_idle = std::max(0.0, result.makespan - s.last_end);
     } else {
       metrics.warmup_idle = result.makespan;  // never ran: all warmup
     }
-    metrics.budget_violations = overflow_count_[static_cast<std::size_t>(stage)];
-    metrics.budget_overflow_bytes = overflow_bytes_[static_cast<std::size_t>(stage)];
-    metrics.dp_sync = dp_busy[static_cast<std::size_t>(stage)];
+    metrics.budget_violations = s.overflow_count;
+    metrics.budget_overflow_bytes = s.overflow_bytes;
     result.budget_violations += metrics.budget_violations;
-    bubble_sum += metrics.bubble_ratio;
-
-    auto& events = mem_events_[static_cast<std::size_t>(stage)];
-    std::stable_sort(events.begin(), events.end(),
-                     [](const MemEvent& a, const MemEvent& b) { return a.time < b.time; });
-    if (options_.record_memory_timeline && result.memory_timeline.empty()) {
-      result.memory_timeline.resize(static_cast<std::size_t>(problem_.stages));
-    }
-    Bytes current = 0;
-    for (const MemEvent& event : events) {
-      current += event.delta;
-      metrics.peak_activation = std::max(metrics.peak_activation, current);
-      if (options_.record_memory_timeline) {
-        auto& series = result.memory_timeline[static_cast<std::size_t>(stage)];
-        if (!series.empty() && series.back().time == event.time) {
-          series.back().bytes = current;  // coalesce simultaneous deltas
-        } else {
-          series.push_back({event.time, current});
-        }
-      }
-    }
     result.peak_activation = std::max(result.peak_activation, metrics.peak_activation);
+    bubble_sum += metrics.bubble_ratio;
   }
-  result.bubble_ratio = problem_.stages > 0 ? bubble_sum / problem_.stages : 0.0;
-  if (faulty_) {
-    result.fault_spans = faulty_->Spans();
+  result.bubble_ratio = bubble_sum / problem_.stages;
+  if constexpr (!kTable) {
+    if (faulty_) {
+      result.fault_spans = faulty_->Spans();
+    }
+    result.memory_timeline = std::move(memory_timeline_);
+    result.timeline = std::move(timeline_);
+    std::sort(result.timeline.begin(), result.timeline.end(),
+              [](const OpSpan& a, const OpSpan& b) {
+                return a.start < b.start || (a.start == b.start && a.stage < b.stage);
+              });
   }
-  result.timeline = std::move(timeline_);
-  std::sort(result.timeline.begin(), result.timeline.end(),
-            [](const OpSpan& a, const OpSpan& b) {
-              return a.start < b.start || (a.start == b.start && a.stage < b.stage);
-            });
   return result;
 }
 
@@ -573,7 +598,12 @@ SimResult Engine::Run() {
 
 SimResult Simulate(const sched::Schedule& schedule, const CostModel& costs,
                    const EngineOptions& options) {
-  return Engine(schedule, costs, options).Run();
+  return Engine<EngineOptions>(schedule, costs, options).Run();
+}
+
+SimResult PriceScheduleTable(const sched::Schedule& schedule, const CostModel& costs,
+                             const TableOptions& options) {
+  return Engine<TableOptions>(schedule, costs, options).Run();
 }
 
 }  // namespace mepipe::sim

@@ -1,12 +1,26 @@
-// The discrete-event execution engine.
+// The list interpreter: executes a static Schedule against a CostModel.
 //
-// Executes a static Schedule against a CostModel: every stage runs its
-// program order, waiting on same-stage completions and cross-stage
-// transfers (serialized per directed stage-pair link). Deferred
-// weight-gradient work is slotted into the waits — the runtime half of
-// the paper's fine-grained weight-gradient technique (§5). The engine
-// tracks activation (+ activation-gradient) memory so that peak
-// consumption and bubbles are *measured*, not asserted.
+// Every stage runs its program order, waiting on same-stage completions
+// and cross-stage transfers. Deferred weight-gradient work is slotted
+// into the waits — the runtime half of the paper's fine-grained
+// weight-gradient technique (§5) — and drained early when an allocation
+// would overflow the stage's activation budget (Figure 7b). Activation
+// (+ activation-gradient) memory is tracked so that peak consumption and
+// bubbles are *measured*, not asserted.
+//
+// One kernel, two entry points. They share every line except the arrival
+// rule of a cross-stage transfer and what gets recorded:
+//  - Simulate, the discrete-event engine: transfers serialize per
+//    directed stage-pair link; it records the timeline (and on request
+//    the memory series) and takes fault plans and DP fabric sharing.
+//  - PriceScheduleTable, the surrogate's table replay: a transfer arrives
+//    at producer done + transfer time (point to point), and nothing is
+//    recorded per op. On transfer-free costs the two agree bit for bit.
+// Both reject malformed input with CheckError, accepting exactly what
+// sched::ValidateSchedule accepts at O(1) per op: each stage's op count
+// and every op's kind, index ranges, owning stage, gemm and job tag are
+// checked up front, a duplicate when it executes, and a program order
+// that stops making progress is reported as a deadlock.
 #ifndef MEPIPE_SIM_ENGINE_H_
 #define MEPIPE_SIM_ENGINE_H_
 
@@ -143,10 +157,28 @@ struct SimResult {
   std::vector<std::vector<MemoryPoint>> memory_timeline;
 };
 
-// Runs the schedule to completion. The schedule must validate; passing an
-// invalid schedule throws CheckError.
+// Runs the schedule to completion on the discrete-event engine. A
+// malformed schedule or budget throws CheckError.
 SimResult Simulate(const sched::Schedule& schedule, const CostModel& costs,
                    const EngineOptions& options = {});
+
+// The table replay's knobs: the subset of EngineOptions the surrogate
+// prices a clean run with, same semantics.
+struct TableOptions {
+  WgradMode wgrad_mode = WgradMode::kFillGemms;
+  std::vector<Bytes> activation_budget;  // empty = unbudgeted
+  // Schedule the per-bucket DP sync stream against the finished run
+  // (SimResult::dp); without it the caller prices the monolithic sync.
+  bool dp_overlap = false;
+};
+
+// Runs the schedule on the same kernel with point-to-point transfer
+// arrivals and no timeline. The result carries every summary field of
+// Simulate's (makespan, bubbles, per-stage busy/idle/peak/overflow, DP
+// stats); timeline, fault spans and memory series stay empty. A
+// malformed schedule or budget throws CheckError.
+SimResult PriceScheduleTable(const sched::Schedule& schedule, const CostModel& costs,
+                             const TableOptions& options = {});
 
 }  // namespace mepipe::sim
 

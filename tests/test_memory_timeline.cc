@@ -21,31 +21,47 @@ sim::SimResult RunRecorded(bool record = true) {
   return Simulate(schedule, costs, options);
 }
 
+// ZB-1P under per-GEMM W fills with a budget tight enough that W drains
+// free memory before most forwards: the path where the series falls
+// between the ops of the program order.
+sim::SimResult RunBudgetedZb1p() {
+  const auto schedule = sched::Zb1pSchedule(3, 6);
+  const sim::UniformCostModel costs(1.0, 1.0, 1.0, 0.0, /*act_bytes=*/10,
+                                    /*act_grad_bytes=*/4, /*wgrad_gemms=*/3);
+  sim::EngineOptions options;
+  options.wgrad_mode = sim::WgradMode::kFillGemms;
+  options.activation_budget = {35, 35, 35};
+  options.record_memory_timeline = true;
+  return Simulate(schedule, costs, options);
+}
+
 TEST(MemoryTimeline, RecordedWhenRequested) {
-  const auto result = RunRecorded();
-  ASSERT_EQ(result.memory_timeline.size(), 3u);
-  for (const auto& series : result.memory_timeline) {
-    EXPECT_FALSE(series.empty());
-    // Times strictly increase; bytes are non-negative.
-    for (std::size_t i = 0; i < series.size(); ++i) {
-      EXPECT_GE(series[i].bytes, 0);
-      if (i > 0) {
-        EXPECT_GT(series[i].time, series[i - 1].time);
+  for (const auto& result : {RunRecorded(), RunBudgetedZb1p()}) {
+    ASSERT_EQ(result.memory_timeline.size(), 3u);
+    for (const auto& series : result.memory_timeline) {
+      EXPECT_FALSE(series.empty());
+      // Times strictly increase; bytes are non-negative.
+      for (std::size_t i = 0; i < series.size(); ++i) {
+        EXPECT_GE(series[i].bytes, 0);
+        if (i > 0) {
+          EXPECT_GT(series[i].time, series[i - 1].time);
+        }
       }
+      // The iteration ends with all activations released.
+      EXPECT_EQ(series.back().bytes, 0);
     }
-    // The iteration ends with all activations released.
-    EXPECT_EQ(series.back().bytes, 0);
   }
 }
 
 TEST(MemoryTimeline, SeriesPeakMatchesMetrics) {
-  const auto result = RunRecorded();
-  for (std::size_t stage = 0; stage < 3; ++stage) {
-    Bytes peak = 0;
-    for (const auto& point : result.memory_timeline[stage]) {
-      peak = std::max(peak, point.bytes);
+  for (const auto& result : {RunRecorded(), RunBudgetedZb1p()}) {
+    for (std::size_t stage = 0; stage < 3; ++stage) {
+      Bytes peak = 0;
+      for (const auto& point : result.memory_timeline[stage]) {
+        peak = std::max(peak, point.bytes);
+      }
+      EXPECT_EQ(peak, result.stages[stage].peak_activation) << "stage " << stage;
     }
-    EXPECT_EQ(peak, result.stages[stage].peak_activation) << "stage " << stage;
   }
 }
 

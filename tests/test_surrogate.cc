@@ -9,6 +9,7 @@
 #include <atomic>
 #include <cmath>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/iteration.h"
@@ -38,21 +39,42 @@ std::vector<std::pair<const char*, Schedule>> TransferFreeCorpus() {
   corpus.push_back({"terapipe", sched::TeraPipeSchedule(4, 4, 4)});
   corpus.push_back({"zb1p", sched::Zb1pSchedule(4, 8)});
   corpus.push_back({"zbv", sched::HandcraftedZbvSchedule(4, 8)});
+  // A job-tagged schedule (core/cluster tags every admitted job's).
+  Schedule tagged = sched::Zb1pSchedule(4, 8);
+  sched::TagJob(tagged, 3);
+  corpus.push_back({"zb1p job 3", std::move(tagged)});
   return corpus;
 }
 
-void ExpectExactMatch(const TablePrice& table, const SimResult& engine, const char* label) {
-  EXPECT_DOUBLE_EQ(table.makespan, engine.makespan) << label;
-  EXPECT_DOUBLE_EQ(table.bubble_ratio, engine.bubble_ratio) << label;
+// The two entry points of the one list interpreter, compared bit for bit
+// on every summary field they both report.
+void ExpectExactMatch(const SimResult& table, const SimResult& engine, const char* label) {
+  EXPECT_EQ(table.makespan, engine.makespan) << label;
+  EXPECT_EQ(table.bubble_ratio, engine.bubble_ratio) << label;
   EXPECT_EQ(table.peak_activation, engine.peak_activation) << label;
   EXPECT_EQ(table.budget_violations, engine.budget_violations) << label;
-  ASSERT_EQ(table.stage_busy.size(), engine.stages.size()) << label;
+  ASSERT_EQ(table.stages.size(), engine.stages.size()) << label;
   for (std::size_t stage = 0; stage < engine.stages.size(); ++stage) {
-    EXPECT_DOUBLE_EQ(table.stage_busy[stage], engine.stages[stage].busy)
-        << label << " stage " << stage;
-    EXPECT_EQ(table.stage_peak_activation[stage], engine.stages[stage].peak_activation)
-        << label << " stage " << stage;
+    const sim::StageMetrics& t = table.stages[stage];
+    const sim::StageMetrics& e = engine.stages[stage];
+    EXPECT_EQ(t.busy, e.busy) << label << " stage " << stage;
+    EXPECT_EQ(t.peak_activation, e.peak_activation) << label << " stage " << stage;
+    EXPECT_EQ(t.bubble_ratio, e.bubble_ratio) << label << " stage " << stage;
+    EXPECT_EQ(t.warmup_idle, e.warmup_idle) << label << " stage " << stage;
+    EXPECT_EQ(t.steady_idle, e.steady_idle) << label << " stage " << stage;
+    EXPECT_EQ(t.drain_idle, e.drain_idle) << label << " stage " << stage;
+    EXPECT_EQ(t.budget_violations, e.budget_violations) << label << " stage " << stage;
+    EXPECT_EQ(t.budget_overflow_bytes, e.budget_overflow_bytes) << label << " stage " << stage;
+    EXPECT_EQ(t.dp_sync, e.dp_sync) << label << " stage " << stage;
   }
+  EXPECT_EQ(table.dp.serialized, engine.dp.serialized) << label;
+  EXPECT_EQ(table.dp.hidden, engine.dp.hidden) << label;
+  EXPECT_EQ(table.dp.exposed, engine.dp.exposed) << label;
+  EXPECT_EQ(table.dp.last_end, engine.dp.last_end) << label;
+  EXPECT_EQ(table.dp.buckets, engine.dp.buckets) << label;
+  // The table replay records nothing per op.
+  EXPECT_TRUE(table.timeline.empty()) << label;
+  EXPECT_TRUE(table.memory_timeline.empty()) << label;
 }
 
 TEST(SurrogateTable, ExactForTransferFreeCostsAcrossGeneratorsAndWgradModes) {
@@ -68,8 +90,7 @@ TEST(SurrogateTable, ExactForTransferFreeCostsAcrossGeneratorsAndWgradModes) {
       const SimResult engine = Simulate(schedule, costs, engine_options);
       TableOptions table_options;
       table_options.wgrad_mode = mode;
-      const TablePrice table = PriceScheduleTable(schedule, costs, table_options);
-      ExpectExactMatch(table, engine, label);
+      ExpectExactMatch(PriceScheduleTable(schedule, costs, table_options), engine, label);
     }
   }
 }
@@ -86,8 +107,7 @@ TEST(SurrogateTable, ExactUnderActivationBudgetDrains) {
   const SimResult engine = Simulate(schedule, costs, engine_options);
   TableOptions table_options;
   table_options.activation_budget = budget;
-  const TablePrice table = PriceScheduleTable(schedule, costs, table_options);
-  ExpectExactMatch(table, engine, "zb1p budgeted");
+  ExpectExactMatch(PriceScheduleTable(schedule, costs, table_options), engine, "zb1p budgeted");
 }
 
 TEST(SurrogateTable, ExactForOverlappedDpSyncWithoutFabricSharing) {
@@ -98,10 +118,7 @@ TEST(SurrogateTable, ExactForOverlappedDpSyncWithoutFabricSharing) {
   const SimResult engine = Simulate(schedule, costs, engine_options);
   TableOptions table_options;
   table_options.dp_overlap = true;
-  const TablePrice table = PriceScheduleTable(schedule, costs, table_options);
-  EXPECT_DOUBLE_EQ(table.dp_serialized, engine.dp.serialized);
-  EXPECT_DOUBLE_EQ(table.dp_hidden, engine.dp.hidden);
-  EXPECT_DOUBLE_EQ(table.dp_exposed, engine.dp.exposed);
+  ExpectExactMatch(PriceScheduleTable(schedule, costs, table_options), engine, "1f1b dp overlap");
 }
 
 TEST(Surrogate, BoundedRelativeErrorOnPaperConfigs) {
