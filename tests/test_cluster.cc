@@ -9,9 +9,7 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <fstream>
-#include <sstream>
+#include <string>
 
 #include "common/check.h"
 #include "core/planner.h"
@@ -24,6 +22,7 @@
 #include "sim/cost_model.h"
 #include "sim/engine.h"
 #include "trace/chrome_trace.h"
+#include "golden.h"
 
 namespace mepipe::core {
 namespace {
@@ -74,14 +73,6 @@ TrafficOptions FuzzTraffic(std::uint64_t seed, int jobs, Seconds mean_interarriv
   large.weight = 1.0;
   options.mix = {small, large};
   return options;
-}
-
-std::string ReadFileOrDie(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  MEPIPE_CHECK(in.good()) << "cannot open " << path;
-  std::ostringstream out;
-  out << in.rdbuf();
-  return out.str();
 }
 
 // ---- Property fuzz ---------------------------------------------------------
@@ -261,8 +252,7 @@ TEST(ClusterPlanMemo, CarveFingerprintKeysDistinguishTiers) {
 
 // Fixed 8-job two-tier scenario with two injected failures: the full
 // event log is pinned byte-for-byte. Regenerate (only with an
-// intentional behavior change) via MEPIPE_REGEN_GOLDEN=1; see
-// tests/golden/README.md.
+// intentional behavior change) as tests/golden/README.md describes.
 std::string GoldenScenarioLog() {
   ClusterService service(SmallFleet(), FastOptions(AllocationPolicy::kDynamic));
   const std::vector<JobRequest> requests = GenerateTraffic(FuzzTraffic(5, 8, 120));
@@ -271,17 +261,9 @@ std::string GoldenScenarioLog() {
 }
 
 TEST(ClusterGolden, AdmissionTimelineIsByteStable) {
-  const std::string path =
-      std::string(MEPIPE_TESTS_DIR) + "/golden/cluster_admission_timeline.txt";
   const std::string log = GoldenScenarioLog();
   ASSERT_TRUE(ValidateEventLog(log));
-  if (std::getenv("MEPIPE_REGEN_GOLDEN") != nullptr) {
-    std::ofstream out(path, std::ios::binary);
-    MEPIPE_CHECK(out.good()) << "cannot write " << path;
-    out << log;
-    GTEST_SKIP() << "regenerated " << path;
-  }
-  EXPECT_EQ(log, ReadFileOrDie(path));
+  ExpectMatchesGolden("cluster_admission_timeline.txt", log);
 }
 
 TEST(ClusterGolden, CorruptedLogsAreDetected) {

@@ -3,14 +3,14 @@
 
 #include <gtest/gtest.h>
 
-#include <fstream>
-#include <sstream>
+#include <string>
 
 #include "common/check.h"
 #include "sched/serialize.h"
 #include "sched/validate.h"
 #include "sim/cost_model.h"
 #include "sim/engine.h"
+#include "golden.h"
 
 namespace mepipe::core {
 namespace {
@@ -165,14 +165,6 @@ TEST_P(SvppSweep, AllVariantsValid) {
 // Golden snapshots: the generation is deterministic, so the serialized
 // form of two canonical configs is pinned byte-for-byte (see
 // tests/golden/README.md for the regeneration contract).
-std::string ReadFileOrDie(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  MEPIPE_CHECK(in.good()) << "cannot open " << path;
-  std::ostringstream out;
-  out << in.rdbuf();
-  return out.str();
-}
-
 TEST(SvppGolden, SnapshotsAreByteStable) {
   struct GoldenCase {
     SvppOptions options;
@@ -184,12 +176,11 @@ TEST(SvppGolden, SnapshotsAreByteStable) {
   };
   for (const GoldenCase& c : cases) {
     SCOPED_TRACE(c.file);
-    const std::string golden =
-        ReadFileOrDie(std::string(MEPIPE_TESTS_DIR) + "/golden/" + c.file);
     const Schedule schedule = GenerateSvpp(c.options);
-    EXPECT_EQ(sched::SerializeSchedule(schedule), golden);
-    const Schedule parsed = sched::ParseSchedule(golden);
-    EXPECT_EQ(sched::SerializeSchedule(parsed), golden);
+    const std::string text = sched::SerializeSchedule(schedule);
+    ExpectMatchesGolden(c.file, text);
+    const Schedule parsed = sched::ParseSchedule(text);
+    EXPECT_EQ(sched::SerializeSchedule(parsed), text);
     EXPECT_EQ(parsed.stage_ops, schedule.stage_ops);
   }
 }

@@ -8,8 +8,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -21,6 +19,7 @@
 #include "sched/zbv.h"
 #include "sim/cost_model.h"
 #include "sim/engine.h"
+#include "golden.h"
 
 namespace mepipe::sched {
 namespace {
@@ -241,16 +240,9 @@ TEST(SynthFuzz, RandomShapesPassEveryInvariantUnderBudget) {
 // budget extremes for the canonical p=4, n=8 config is pinned
 // byte-for-byte (see tests/golden/README.md for regeneration).
 
-std::string ReadFileOrDie(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  MEPIPE_CHECK(in.good()) << "cannot open " << path;
-  std::ostringstream out;
-  out << in.rdbuf();
-  return out.str();
-}
-
 struct GoldenCase {
-  const char* name;  // file stem and test label
+  const char* name;  // test label
+  const char* file;
   PipelineProblem problem;
   SynthOptions options;
 };
@@ -258,10 +250,11 @@ struct GoldenCase {
 std::vector<GoldenCase> GoldenCases() {
   const int p = 4;
   const int n = 8;
-  GoldenCase onefoneb{"synth_1f1b_p4_n8", MakeProblem(p, 1, n, false), {}};
+  GoldenCase onefoneb{"synth_1f1b_p4_n8", "synth_1f1b_p4_n8.txt",
+                      MakeProblem(p, 1, n, false), {}};
   onefoneb.options.b_time = 2.0;
   onefoneb.options.budget = SynthOneFOneBBudget(p, n);
-  GoldenCase vpp{"synth_vpp_p4_n8", MakeProblem(p, 2, n, false), {}};
+  GoldenCase vpp{"synth_vpp_p4_n8", "synth_vpp_p4_n8.txt", MakeProblem(p, 2, n, false), {}};
   vpp.options.b_time = 2.0;
   const Schedule hand_vpp = VppSchedule(p, 2, n);
   vpp.options.budget.resize(static_cast<std::size_t>(p));
@@ -269,7 +262,8 @@ std::vector<GoldenCase> GoldenCases() {
     vpp.options.budget[static_cast<std::size_t>(stage)] =
         std::max(2, PeakRetainedForwards(hand_vpp, stage));
   }
-  GoldenCase zbv{"synth_zbv_p4_n8", MakeProblem(p, 2, n, true, ChunkPlacement::kVShape), {}};
+  GoldenCase zbv{"synth_zbv_p4_n8", "synth_zbv_p4_n8.txt",
+                 MakeProblem(p, 2, n, true, ChunkPlacement::kVShape), {}};
   zbv.options.budget = SynthZbvBudget(p, n);
   return {onefoneb, vpp, zbv};
 }
@@ -278,13 +272,11 @@ class SynthGolden : public ::testing::TestWithParam<GoldenCase> {};
 
 TEST_P(SynthGolden, SnapshotIsByteStable) {
   const GoldenCase& c = GetParam();
-  const std::string path =
-      std::string(MEPIPE_TESTS_DIR) + "/golden/" + c.name + ".txt";
-  const std::string golden = ReadFileOrDie(path);
   const Schedule schedule = SynthesizeSchedule(c.problem, c.options);
-  EXPECT_EQ(SerializeSchedule(schedule), golden);
-  const Schedule parsed = ParseSchedule(golden);
-  EXPECT_EQ(SerializeSchedule(parsed), golden);
+  const std::string text = SerializeSchedule(schedule);
+  ExpectMatchesGolden(c.file, text);
+  const Schedule parsed = ParseSchedule(text);
+  EXPECT_EQ(SerializeSchedule(parsed), text);
   EXPECT_EQ(parsed.stage_ops, schedule.stage_ops);
 }
 

@@ -6,8 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <fstream>
-#include <sstream>
+#include <string>
 #include <vector>
 
 #include "common/check.h"
@@ -17,6 +16,7 @@
 #include "sched/validate.h"
 #include "sim/cost_model.h"
 #include "sim/engine.h"
+#include "golden.h"
 
 namespace mepipe::sched {
 namespace {
@@ -269,33 +269,30 @@ TEST(Zbv, ValidatorCatchesCorruptedSchedules) {
 // here means the construction changed — regenerate the goldens (see
 // tests/golden/README.md) only when that is intentional.
 
-std::string ReadFileOrDie(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  MEPIPE_CHECK(in.good()) << "cannot open " << path;
-  std::ostringstream out;
-  out << in.rdbuf();
-  return out.str();
-}
+struct GoldenGrid {
+  Grid grid;
+  const char* file;
+};
 
-class ZbvGolden : public ::testing::TestWithParam<Grid> {};
+class ZbvGolden : public ::testing::TestWithParam<GoldenGrid> {};
 
 TEST_P(ZbvGolden, SnapshotIsByteStable) {
-  const Grid g = GetParam();
-  const std::string path = std::string(MEPIPE_TESTS_DIR) + "/golden/zbv_p" +
-                           std::to_string(g.stages) + "_n" + std::to_string(g.micros) + ".txt";
-  const std::string golden = ReadFileOrDie(path);
+  const auto& [g, file] = GetParam();
   const Schedule schedule = ZbvSchedule(g.stages, g.micros);
-  EXPECT_EQ(SerializeSchedule(schedule), golden);
+  const std::string text = SerializeSchedule(schedule);
+  ExpectMatchesGolden(file, text);
   // Parsing the golden text and re-serializing must reproduce it exactly.
-  const Schedule parsed = ParseSchedule(golden);
-  EXPECT_EQ(SerializeSchedule(parsed), golden);
+  const Schedule parsed = ParseSchedule(text);
+  EXPECT_EQ(SerializeSchedule(parsed), text);
   EXPECT_EQ(parsed.stage_ops, schedule.stage_ops);
 }
 
 INSTANTIATE_TEST_SUITE_P(Canonical, ZbvGolden,
-                         ::testing::Values(Grid{4, 8}, Grid{8, 16}), [](const auto& info) {
-                           return "p" + std::to_string(info.param.stages) + "n" +
-                                  std::to_string(info.param.micros);
+                         ::testing::Values(GoldenGrid{{4, 8}, "zbv_p4_n8.txt"},
+                                           GoldenGrid{{8, 16}, "zbv_p8_n16.txt"}),
+                         [](const auto& info) {
+                           return "p" + std::to_string(info.param.grid.stages) + "n" +
+                                  std::to_string(info.param.grid.micros);
                          });
 
 }  // namespace
