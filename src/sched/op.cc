@@ -1,5 +1,7 @@
 #include "sched/op.h"
 
+#include <cstdint>
+
 #include "common/check.h"
 #include "common/format.h"
 
@@ -73,6 +75,15 @@ void PipelineProblem::Validate() const {
   MEPIPE_CHECK_GE(micros, 1);
   if (placement == ChunkPlacement::kVShape) {
     MEPIPE_CHECK_EQ(virtual_chunks, 2) << "V-shape placement is defined for v=2";
+  }
+  // Chunks are indexed in int and every per-op arena holds 3·n·s·v·p
+  // slots, so v·p and that product must fit in int. Each 64-bit partial
+  // product stays below 2^62, so the check itself cannot overflow.
+  std::int64_t slots = static_cast<std::int64_t>(virtual_chunks) * stages;
+  MEPIPE_CHECK_LE(slots, INT32_MAX) << "v*p = " << slots << " chunks overflow int";
+  for (const int factor : {3, slices, micros}) {
+    slots *= factor;
+    MEPIPE_CHECK_LE(slots, INT32_MAX) << "3*n*s*v*p op slots overflow int";
   }
 }
 

@@ -2,6 +2,7 @@
 
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 
 #include "common/check.h"
 #include "common/format.h"
@@ -13,6 +14,18 @@ constexpr const char* kHeader = "mepipe-schedule v1";
 
 const char* PlacementTag(ChunkPlacement placement) {
   return placement == ChunkPlacement::kVShape ? "v" : "rr";
+}
+
+// std::stoi with its exceptions turned into CheckError: the text comes
+// from outside the program, and a malformed or out-of-range number must
+// fail like every other parse error.
+int ParseInt(const std::string& text) {
+  try {
+    return std::stoi(text);
+  } catch (const std::logic_error&) {  // std::invalid_argument, std::out_of_range
+    MEPIPE_CHECK(false) << "bad number: '" << text << "'";
+  }
+  return 0;
 }
 
 std::string OpToken(const OpId& op) {
@@ -51,7 +64,7 @@ OpId ParseOpToken(const std::string& token) {
     if (i == token.size() || token[i] == '.') {
       MEPIPE_CHECK(!number.empty()) << "bad op token: " << token;
       MEPIPE_CHECK_LT(field, 4) << "bad op token: " << token;
-      fields[field++] = std::stoi(number);
+      fields[field++] = ParseInt(number);
       number.clear();
     } else {
       number += token[i];
@@ -113,7 +126,7 @@ Schedule ParseSchedule(const std::string& text) {
 
   MEPIPE_CHECK(static_cast<bool>(std::getline(in, line))) << "missing problem line";
   if (line.rfind("job ", 0) == 0) {
-    schedule.job = std::stoi(line.substr(4));
+    schedule.job = ParseInt(line.substr(4));
     MEPIPE_CHECK_GE(schedule.job, 0) << "negative job tag";
     MEPIPE_CHECK(static_cast<bool>(std::getline(in, line))) << "missing problem line";
   }
@@ -124,13 +137,13 @@ Schedule ParseSchedule(const std::string& text) {
     while (fields >> token) {
       const auto [key, value] = KeyValue(token);
       if (key == "p") {
-        schedule.problem.stages = std::stoi(value);
+        schedule.problem.stages = ParseInt(value);
       } else if (key == "v") {
-        schedule.problem.virtual_chunks = std::stoi(value);
+        schedule.problem.virtual_chunks = ParseInt(value);
       } else if (key == "s") {
-        schedule.problem.slices = std::stoi(value);
+        schedule.problem.slices = ParseInt(value);
       } else if (key == "n") {
-        schedule.problem.micros = std::stoi(value);
+        schedule.problem.micros = ParseInt(value);
       } else if (key == "split") {
         schedule.problem.split_backward = value == "1";
       } else if (key == "placement") {
@@ -156,7 +169,7 @@ Schedule ParseSchedule(const std::string& text) {
     fields >> stage_token;
     MEPIPE_CHECK(!stage_token.empty() && stage_token.back() == ':')
         << "malformed stage line: " << line;
-    const int stage = std::stoi(stage_token.substr(0, stage_token.size() - 1));
+    const int stage = ParseInt(stage_token.substr(0, stage_token.size() - 1));
     MEPIPE_CHECK_GE(stage, 0);
     MEPIPE_CHECK_LT(stage, schedule.problem.stages);
     std::string op_token;
