@@ -17,6 +17,7 @@
 #ifndef MEPIPE_SCHED_DEPENDENCY_H_
 #define MEPIPE_SCHED_DEPENDENCY_H_
 
+#include <cstddef>
 #include <vector>
 
 #include "sched/op.h"
@@ -89,6 +90,37 @@ void ForEachDependency(const PipelineProblem& problem, const OpId& op,
     }
   }
 }
+
+// The dense slot of an F, B or W op: kind planes kForward=0,
+// kBackward=1, kWeightGrad=2, each micros × slices × chunks. This is the
+// one index of every per-op arena (the engine's completion times, the
+// generator's readiness, the validator's flags, the ZBV and synth
+// builders' completion times). Only in-range F/B/W identities may be
+// indexed — per-GEMM splits and DP buckets are never dependency targets —
+// and arenas are sized only from a validated problem.
+class OpIndex {
+ public:
+  explicit OpIndex(const PipelineProblem& problem)
+      : micros_(static_cast<std::size_t>(problem.micros)),
+        slices_(static_cast<std::size_t>(problem.slices)),
+        chunks_(static_cast<std::size_t>(problem.virtual_chunks) *
+                static_cast<std::size_t>(problem.stages)) {}
+
+  std::size_t size() const { return 3 * micros_ * slices_ * chunks_; }
+
+  std::size_t operator()(const OpId& op) const {
+    return ((static_cast<std::size_t>(op.kind) * micros_ + static_cast<std::size_t>(op.micro)) *
+                slices_ +
+            static_cast<std::size_t>(op.slice)) *
+               chunks_ +
+           static_cast<std::size_t>(op.chunk);
+  }
+
+ private:
+  std::size_t micros_;
+  std::size_t slices_;
+  std::size_t chunks_;
+};
 
 // All F/B(/W) compute ops owned by `stage`, in an unspecified order,
 // stamped with `job` (0 = untagged). Per-GEMM W splits are not

@@ -14,6 +14,7 @@ constexpr double kInfinity = std::numeric_limits<double>::infinity();
 struct GeneratorState {
   const PipelineProblem& problem;
   const GeneratorOptions& options;
+  const OpIndex index;
 
   // Incremental readiness over three dense kind-planes (F, B, W — the
   // only kinds generation schedules). `unmet` counts unscheduled
@@ -40,13 +41,16 @@ struct GeneratorState {
   // reservation-based admission that keeps capped generation
   // deadlock-free (see AdmitForward).
   std::vector<std::vector<int>> fwd_scheduled;
+  // Per stage, the oldest micro whose forwards are not all scheduled
+  // (`micros` once every forward is). fwd_scheduled only grows, so the
+  // pointer only moves forward.
+  std::vector<int> oldest_open;
 
   explicit GeneratorState(const PipelineProblem& p, const GeneratorOptions& o)
       : problem(p),
         options(o),
-        unmet(3 * static_cast<std::size_t>(p.micros) * static_cast<std::size_t>(p.slices) *
-                  static_cast<std::size_t>(p.num_chunks()),
-              0),
+        index(p),
+        unmet(index.size(), 0),
         ready(unmet.size(), 0.0),
         pos(unmet.size(), 0),
         stage_free(static_cast<std::size_t>(p.stages), 0.0),
@@ -56,6 +60,7 @@ struct GeneratorState {
         order(static_cast<std::size_t>(p.stages)),
         fwd_scheduled(static_cast<std::size_t>(p.stages),
                       std::vector<int>(static_cast<std::size_t>(p.micros), 0)),
+        oldest_open(static_cast<std::size_t>(p.stages), 0),
         last_kind(static_cast<std::size_t>(p.stages), OpKind::kForward) {}
 
   // Admission control for forwards under the memory cap. Admitting any
@@ -69,20 +74,26 @@ struct GeneratorState {
     if (in_flight >= cap) {
       return false;
     }
-    const int per_micro = problem.virtual_chunks * problem.slices;
-    const auto& scheduled = fwd_scheduled[static_cast<std::size_t>(stage)];
-    int oldest = -1;
-    for (int m = 0; m < problem.micros; ++m) {
-      if (scheduled[static_cast<std::size_t>(m)] < per_micro) {
-        oldest = m;
-        break;
-      }
-    }
-    if (oldest < 0 || op.micro <= oldest) {
+    const int oldest = oldest_open[static_cast<std::size_t>(stage)];
+    if (oldest == problem.micros || op.micro <= oldest) {
       return true;  // the oldest micro itself is never starved
     }
-    const int remaining = per_micro - scheduled[static_cast<std::size_t>(oldest)];
+    const int remaining = problem.virtual_chunks * problem.slices -
+                          fwd_scheduled[static_cast<std::size_t>(stage)]
+                                       [static_cast<std::size_t>(oldest)];
     return in_flight + 1 + remaining <= cap;
+  }
+
+  // Records a scheduled forward and advances the stage's oldest-open
+  // micro past every micro whose forwards are now all scheduled.
+  void CountForward(int stage, const OpId& op) {
+    auto& scheduled = fwd_scheduled[static_cast<std::size_t>(stage)];
+    ++scheduled[static_cast<std::size_t>(op.micro)];
+    const int per_micro = problem.virtual_chunks * problem.slices;
+    int& oldest = oldest_open[static_cast<std::size_t>(stage)];
+    while (oldest < problem.micros && scheduled[static_cast<std::size_t>(oldest)] >= per_micro) {
+      ++oldest;
+    }
   }
 
   int cap(int stage) const {
@@ -113,24 +124,12 @@ struct GeneratorState {
     return base;
   }
 
-  std::size_t OpIndex(const OpId& op) const {
-    const std::size_t kind = op.kind == OpKind::kForward    ? 0
-                             : op.kind == OpKind::kBackward ? 1
-                                                            : 2;
-    return ((kind * static_cast<std::size_t>(problem.micros) +
-             static_cast<std::size_t>(op.micro)) *
-                static_cast<std::size_t>(problem.slices) +
-            static_cast<std::size_t>(op.slice)) *
-               static_cast<std::size_t>(problem.num_chunks()) +
-           static_cast<std::size_t>(op.chunk);
-  }
-
   // Register a to-be-scheduled op: its stage-order position (the former
   // scan order, used as the tie-break) and its dependency count (deps
   // are always F/B ops, which generation always schedules). Dep-free ops
   // start unlocked.
   void Seed(int stage, const OpId& op, int position) {
-    const std::size_t idx = OpIndex(op);
+    const std::size_t idx = index(op);
     pos[idx] = position;
     int count = 0;
     ForEachDependency(problem, op, [&](const Dep&) { ++count; });
@@ -148,7 +147,7 @@ struct GeneratorState {
   void MarkDone(const OpId& op, double end, bool emit_w_static) {
     const auto feed = [&](OpKind kind, int micro, int slice, int chunk, bool cross) {
       const OpId child{kind, micro, slice, chunk};
-      const std::size_t idx = OpIndex(child);
+      const std::size_t idx = index(child);
       ready[idx] = std::max(ready[idx], end + (cross ? options.transfer_time : 0.0));
       if (--unmet[idx] == 0) {
         unlocked[static_cast<std::size_t>(problem.stage_of_chunk(chunk))].push_back(child);
@@ -366,7 +365,7 @@ Schedule GenerateCapped(const PipelineProblem& problem, const GeneratorOptions& 
       const int cap = state.cap(stage);
       for (std::size_t slot = 0; slot < unlocked.size(); ++slot) {
         const OpId& op = unlocked[slot];
-        const std::size_t idx = state.OpIndex(op);
+        const std::size_t idx = state.index(op);
         const double ready = state.ready[idx];
         if (ready > now + lookahead) {
           next_event = std::min(next_event, ready);
@@ -396,8 +395,7 @@ Schedule GenerateCapped(const PipelineProblem& problem, const GeneratorOptions& 
       state.order[static_cast<std::size_t>(stage)].push_back(op);
       if (op.kind == OpKind::kForward) {
         ++state.inflight[static_cast<std::size_t>(stage)];
-        ++state.fwd_scheduled[static_cast<std::size_t>(stage)]
-                             [static_cast<std::size_t>(op.micro)];
+        state.CountForward(stage, op);
       } else if (op.kind == OpKind::kBackward) {
         --state.inflight[static_cast<std::size_t>(stage)];
       }

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <deque>
 #include <limits>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -96,7 +95,9 @@ class Composer {
         caps_(caps),
         warmup_(warmup),
         policy_(policy),
-        state_(static_cast<std::size_t>(problem.stages)) {}
+        state_(static_cast<std::size_t>(problem.stages)),
+        index_(problem),
+        done_(index_.size(), kInfinity) {}
 
   // Throws CheckError when the (warmup, cap) assignment deadlocks.
   Composed Run();
@@ -126,19 +127,14 @@ class Composer {
   }
 
   // Earliest start permitted by finished dependencies; +inf if one is
-  // still unscheduled.
+  // still unscheduled (its completion slot still holds +inf).
   double ReadyTime(const OpId& op) const {
     double ready = 0.0;
-    bool blocked = false;
     ForEachDependency(problem_, op, [&](const Dep& dep) {
-      const auto it = done_.find(dep.op);
-      if (it == done_.end()) {
-        blocked = true;
-        return;
-      }
-      ready = std::max(ready, it->second + (dep.cross_stage ? options_.transfer_time : 0.0));
+      ready = std::max(ready, done_[index_(dep.op)] +
+                                  (dep.cross_stage ? options_.transfer_time : 0.0));
     });
-    return blocked ? kInfinity : ready;
+    return ready;
   }
 
   const PipelineProblem& problem_;
@@ -148,7 +144,9 @@ class Composer {
   const std::vector<int>& warmup_;
   const FillPolicy policy_;
   std::vector<StageState> state_;
-  std::unordered_map<OpId, double, OpIdHash> done_;
+  // Completion time per op slot; +inf = not run yet.
+  const OpIndex index_;
+  std::vector<double> done_;
 };
 
 Composed Composer::Run() {
@@ -271,7 +269,7 @@ Composed Composer::Run() {
       const OpId op = best.op;
       const double start = std::max(now, best.ready);
       const double end = start + Duration(op.kind);
-      done_.emplace(op, end);
+      done_[index_(op)] = end;
       composed.order[static_cast<std::size_t>(stage)].push_back(op);
       const auto visit_of = [&](int chunk) {
         return static_cast<std::size_t>(

@@ -4,7 +4,6 @@
 #include <deque>
 #include <limits>
 #include <tuple>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -44,7 +43,9 @@ class Builder {
         options_(options),
         cap_(cap),
         policy_(policy),
-        state_(static_cast<std::size_t>(problem.stages)) {}
+        state_(static_cast<std::size_t>(problem.stages)),
+        index_(problem),
+        done_(index_.size(), kInfinity) {}
 
   Built Run();
 
@@ -76,16 +77,13 @@ class Builder {
   }
 
   // Earliest start permitted by finished dependencies; +inf if one is
-  // still unscheduled.
+  // still unscheduled (its completion slot still holds +inf).
   double ReadyTime(const OpId& op) const {
     double ready = 0.0;
-    for (const Dep& dep : DependenciesOf(problem_, op)) {
-      auto it = done_.find(dep.op);
-      if (it == done_.end()) {
-        return kInfinity;
-      }
-      ready = std::max(ready, it->second + (dep.cross_stage ? options_.transfer_time : 0.0));
-    }
+    ForEachDependency(problem_, op, [&](const Dep& dep) {
+      ready = std::max(ready, done_[index_(dep.op)] +
+                                  (dep.cross_stage ? options_.transfer_time : 0.0));
+    });
     return ready;
   }
 
@@ -94,7 +92,9 @@ class Builder {
   const int cap_;
   const FillPolicy policy_;
   std::vector<StageState> state_;
-  std::unordered_map<OpId, double, OpIdHash> done_;
+  // Completion time per op slot; +inf = not run yet.
+  const OpIndex index_;
+  std::vector<double> done_;
 };
 
 Built Builder::Run() {
@@ -186,7 +186,7 @@ Built Builder::Run() {
       const OpId op = best.op;
       const double start = std::max(now, best.ready);
       const double end = start + Duration(op.kind);
-      done_.emplace(op, end);
+      done_[index_(op)] = end;
       built.order[static_cast<std::size_t>(stage)].push_back(op);
       switch (op.kind) {
         case OpKind::kForward:

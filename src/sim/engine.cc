@@ -57,13 +57,14 @@ class Engine {
   static constexpr bool kTable = std::is_same_v<Options, TableOptions>;
 
   Engine(const sched::Schedule& schedule, const CostModel& costs, const Options& options)
-      : schedule_(schedule), problem_(schedule.problem), costs_(costs), options_(options) {
+      : schedule_(schedule),
+        problem_(schedule.problem),
+        costs_(costs),
+        options_(options),
+        index_(schedule.problem) {
     CheckInput();
-    micros_ = static_cast<std::size_t>(problem_.micros);
-    slices_ = static_cast<std::size_t>(problem_.slices);
-    chunks_ = static_cast<std::size_t>(problem_.num_chunks());
     const auto stages = static_cast<std::size_t>(problem_.stages);
-    done_.assign(3 * micros_ * slices_ * chunks_, kNotDone);
+    done_.assign(index_.size(), kNotDone);
     streams_.resize(stages);
     if constexpr (!kTable) {
       link_free_.assign(stages * stages, 0.0);
@@ -127,21 +128,9 @@ class Engine {
     }
   }
 
-  // Dense arena index for an op's completion slot. Only F/B/W identities
-  // are recorded (per-GEMM splits and DP buckets are never dependency
-  // targets), so the kind planes kForward=0, kBackward=1, kWeightGrad=2
-  // of micros × slices × chunks cover the whole space.
-  std::size_t OpIndex(const OpId& op) const {
-    return ((static_cast<std::size_t>(op.kind) * micros_ + static_cast<std::size_t>(op.micro)) *
-                slices_ +
-            static_cast<std::size_t>(op.slice)) *
-               chunks_ +
-           static_cast<std::size_t>(op.chunk);
-  }
-
-  Seconds DoneTime(const OpId& op) const { return done_[OpIndex(op)]; }
-  bool IsDone(const OpId& op) const { return done_[OpIndex(op)] != kNotDone; }
-  void SetDone(const OpId& op, Seconds time) { done_[OpIndex(op)] = time; }
+  Seconds DoneTime(const OpId& op) const { return done_[index_(op)]; }
+  bool IsDone(const OpId& op) const { return done_[index_(op)] != kNotDone; }
+  void SetDone(const OpId& op, Seconds time) { done_[index_(op)] = time; }
   Stream& StreamOf(int stage) { return streams_[static_cast<std::size_t>(stage)]; }
 
   // Arrival time of `producer`'s output at the consuming stage. The table
@@ -452,9 +441,7 @@ class Engine {
   // Completion times live in one dense per-op arena (kNotDone sentinel)
   // and the per-directed-link free times in a flat stages × stages
   // matrix, each allocated once; the hot loop does index arithmetic only.
-  std::size_t micros_ = 0;
-  std::size_t slices_ = 0;
-  std::size_t chunks_ = 0;
+  const sched::OpIndex index_;
   std::vector<Seconds> done_;
   std::vector<Stream> streams_;
   // Simulate only.
@@ -486,7 +473,7 @@ SimResult Engine<Options>::Run() {
         if (!DepsDone(op)) {
           break;
         }
-        Seconds& done = done_[OpIndex(op)];
+        Seconds& done = done_[index_(op)];
         MEPIPE_CHECK(done == kNotDone) << "stage " << stage << " lists " << sched::ToString(op)
                                        << " twice";
         const Seconds ready = ReadyTime(op);
