@@ -124,6 +124,11 @@ TEST(Problem, ValidationRejectsBadShapes) {
   PipelineProblem vshape = Make(4, 3, 1, 2);
   vshape.placement = ChunkPlacement::kVShape;
   EXPECT_THROW(vshape.Validate(), CheckError);
+  // Chunk indices and the 3·n·s·v·p op slots of every arena must fit in
+  // int: 2.5e9 chunks and 2.4e9 slots do not, 1.2e9 slots do.
+  EXPECT_THROW(Make(50'000, 50'000, 1, 1).Validate(), CheckError);
+  EXPECT_THROW(Make(4, 1, 1, 200'000'000).Validate(), CheckError);
+  EXPECT_NO_THROW(Make(4, 1, 1, 100'000'000).Validate());
 }
 
 TEST(Problem, OpsPerStage) {
