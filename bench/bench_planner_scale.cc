@@ -38,6 +38,7 @@ PlannerOptions FidelityOptions(PlannerObjective objective) {
   options.vp_candidates = {1, 2};
   options.objective = objective;
   options.resilience.seed = 7;
+  options.iteration.keep_timeline = false;  // only scores are read
   // Trimmed interval-solver effort: the goodput objective solves once
   // per feasible candidate. Deterministic, just cheaper.
   options.interval_solver = {0, 0, /*coarse_points=*/9, /*golden_iterations=*/8};
@@ -197,6 +198,7 @@ void EmitPlannerScale() {
   sweep.slice_candidates = {1, 2, 4, 8, 16};
   sweep.vp_candidates = {1, 2, 4, 5, 8};
   sweep.tp_candidates = {1, 2, 4, 8};
+  sweep.iteration.keep_timeline = false;  // only counts are read
   sweep.two_phase = true;
   sweep.surrogate_top_k = 1;  // throughput: phase 1 is the workload
   sweep.threads = 0;          // hardware concurrency

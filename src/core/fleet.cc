@@ -491,6 +491,7 @@ PlacedIterationResult SimulateOn(const model::TransformerConfig& config,
   engine.dp_overlap = options.dp_overlap;
   engine.dp_link_shared = options.dp_overlap && topology.FabricShares(strategy.layout())
                                                     .Shares(hw::Dim::kData, hw::Dim::kPipeline);
+  engine.record_timeline = options.keep_timeline;
   sim::SimResult sim = Simulate(schedule, stack.model(), engine);
 
   std::vector<double> mitigation_scale;
@@ -529,11 +530,6 @@ PlacedIterationResult SimulateOn(const model::TransformerConfig& config,
   result = Assemble(config, placed, topology, global_batch, options, pb, sim, mitigation_scale);
   result.mitigation.rebalanced = !mitigation_scale.empty();
   result.mitigation.unmitigated_pipeline_time = unmitigated_makespan;
-  if (!options.keep_timeline) {
-    // Release the storage, not just the spans: callers such as the
-    // planner hold every evaluated result until the query ends.
-    std::vector<sim::OpSpan>().swap(sim.timeline);
-  }
   result.sim = std::move(sim);
   if (options.keep_schedule) {
     result.schedule = std::move(schedule);

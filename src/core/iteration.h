@@ -50,7 +50,10 @@ struct IterationOptions {
   bool svpp_reschedule = true;
   // Host-side optimizer step once per iteration.
   Seconds optimizer_step = Milliseconds(15);
-  // Drop the (potentially large) per-op timeline from the result.
+  // Record the (potentially large) per-op timeline and keep it in the
+  // result. Off, the engine records no span at all
+  // (sim::EngineOptions::record_timeline), and the planner keeps its
+  // winner's phase-2 result instead of re-simulating it for a timeline.
   bool keep_timeline = true;
   // Keep the executed schedule (post-mitigation when a rebalanced one
   // was adopted) in IterationResult::schedule, so callers can re-check
@@ -136,7 +139,7 @@ struct IterationResult {
   double per_gpu_flops = 0;      // achieved FLOPS per GPU
   double mfu = 0;                // model FLOPS utilization
 
-  sim::SimResult sim;            // timeline (empty if !keep_timeline)
+  sim::SimResult sim;            // timeline (not recorded if !keep_timeline)
   // The executed schedule and the per-stage activation budget (bytes)
   // the engine ran it under (empty unless IterationOptions::keep_schedule
   // and, for the budget, the method defers weight gradients).

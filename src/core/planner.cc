@@ -242,7 +242,8 @@ struct Search {
 
 // The search both public entry points run: grid enumeration, the
 // optional surrogate sweep and top-k selection, the exact phase in grid
-// order, and the winner's re-simulation with its timeline.
+// order, and, when the caller keeps timelines, the winner's
+// re-simulation with its timeline.
 Search RunSearch(Method method, const model::TransformerConfig& config, const Target& target,
                  int global_batch, const PlannerOptions& options) {
   Search out;
@@ -361,7 +362,9 @@ Search RunSearch(Method method, const model::TransformerConfig& config, const Ta
 
   // Re-simulate the winner with its timeline for downstream rendering
   // (and re-price it: the re-simulation resets the goodput fields).
-  if (out.best) {
+  // Without a timeline the phase-2 result already is the winner: same
+  // options, same rebalance decision, goodput priced.
+  if (out.best && options.iteration.keep_timeline) {
     IterationOptions final_options = eval_options;
     final_options.keep_timeline = true;
     final_options.rebalance_stragglers =

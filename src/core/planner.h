@@ -118,7 +118,9 @@ struct PlannerResult {
   int cache_hits = 0;                       // of those, served from the cache
 };
 
-// Searches the grid for `method`. Timelines are kept only on the winner.
+// Searches the grid for `method`. Timelines are kept only on the winner,
+// and only when options.iteration.keep_timeline is set (the winner is
+// then re-simulated once to record it).
 PlannerResult SearchBestStrategy(Method method, const model::TransformerConfig& config,
                                  const hw::ClusterSpec& cluster, int global_batch,
                                  const PlannerOptions& options = {});

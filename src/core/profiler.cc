@@ -2,11 +2,16 @@
 
 #include <algorithm>
 
+#include "common/check.h"
 #include "common/format.h"
 
 namespace mepipe::core {
 
 Profile Profile::FromResult(const sim::SimResult& result) {
+  // Every run executes at least one op, so an empty timeline means none
+  // was recorded (a table replay, or record_timeline off).
+  MEPIPE_CHECK(!result.timeline.empty())
+      << "run the engine with record_timeline=true (IterationOptions::keep_timeline)";
   Profile profile;
   for (const sim::OpSpan& span : result.timeline) {
     if (span.is_transfer) {

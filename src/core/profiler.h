@@ -31,7 +31,9 @@ class Profile {
  public:
   // Aggregates the compute spans of a simulated run. Micro-batch index
   // is dropped (durations are micro-invariant); (kind, slice, chunk) is
-  // the key, matching how the cost model is indexed.
+  // the key, matching how the cost model is indexed. Throws CheckError on
+  // a result without a timeline (PriceScheduleTable, or
+  // EngineOptions::record_timeline off).
   static Profile FromResult(const sim::SimResult& result);
 
   const OpStats* Find(sched::OpKind kind, int slice, int chunk) const;

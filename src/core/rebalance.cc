@@ -600,6 +600,7 @@ MitigationReport MitigateStragglers(const sched::Schedule& schedule, const sim::
   MitigationReport report;
   sim::EngineOptions clean_options = options.engine;
   clean_options.fault_plan = nullptr;
+  clean_options.record_timeline = false;  // only busy times and the makespan are read
   const sim::SimResult clean = sim::Simulate(schedule, costs, clean_options);
   report.clean_makespan = clean.makespan;
 

@@ -153,6 +153,7 @@ ResilienceMetrics SimulateTrainingRun(const sched::Schedule& schedule,
                                       const sim::CostModel& costs,
                                       const ResilienceOptions& options) {
   sim::EngineOptions engine_options;
+  engine_options.record_timeline = false;  // only the makespan is read
   const sim::SimResult clean = sim::Simulate(schedule, costs, engine_options);
   return SimulateTrainingRun(clean.makespan, options);
 }

@@ -71,6 +71,9 @@ class Engine {
       if (options_.record_memory_timeline) {
         memory_timeline_.resize(stages);
       }
+      if (options_.dp_overlap && options_.dp_link_shared) {
+        fabric_busy_.resize(stages);
+      }
       if (options_.fault_plan) {
         faulty_.emplace(costs, options_.fault_plan, problem_.stages);
       }
@@ -135,8 +138,10 @@ class Engine {
 
   // Arrival time of `producer`'s output at the consuming stage. The table
   // replay charges it point to point; the engine serializes transfers per
-  // directed stage-pair link and records each one. Every producer feeds
-  // one cross-stage consumer, so each arrival is asked for once.
+  // directed stage-pair link, records each one when keeping the timeline,
+  // and under fabric sharing notes its interval on both endpoint stages.
+  // Every producer feeds one cross-stage consumer, so each arrival is
+  // asked for once.
   Seconds Arrival(const OpId& producer) {
     const Seconds done = DoneTime(producer);
     if constexpr (kTable) {
@@ -158,7 +163,13 @@ class Engine {
         arrival = start + costs_.TransferTime(producer);
       }
       link_free = arrival;
-      timeline_.push_back({from, producer, start, arrival, /*is_transfer=*/true});
+      RecordSpan({from, producer, start, arrival, /*is_transfer=*/true});
+      if (!fabric_busy_.empty()) {
+        fabric_busy_[static_cast<std::size_t>(from)].push_back({start, arrival});
+        if (to != from) {
+          fabric_busy_[static_cast<std::size_t>(to)].push_back({start, arrival});
+        }
+      }
       return arrival;
     }
   }
@@ -199,10 +210,16 @@ class Engine {
     return t;
   }
 
-  void RecordCompute(int stage, const OpId& op, Seconds start, Seconds end) {
+  void RecordSpan(const OpSpan& span) {
     if constexpr (!kTable) {
-      timeline_.push_back({stage, op, start, end, /*is_transfer=*/false});
+      if (options_.record_timeline) {
+        timeline_.push_back(span);
+      }
     }
+  }
+
+  void RecordCompute(int stage, const OpId& op, Seconds start, Seconds end) {
+    RecordSpan({stage, op, start, end, /*is_transfer=*/false});
     Stream& s = StreamOf(stage);
     s.busy += end - start;
     s.first_start = std::min(s.first_start, start);
@@ -333,39 +350,19 @@ class Engine {
   // exposed tail per stage is at most that stage's summed bucket cost,
   // hence exposed <= serialized and hidden >= 0.
   void RunDpSync(SimResult& result) {
-    bool shared = false;
-    if constexpr (!kTable) {
-      shared = options_.dp_link_shared;
-    }
-    // Merged fabric-busy intervals per stage (either endpoint of a
-    // pipeline transfer contends with that stage's DP ring).
-    std::vector<std::vector<std::pair<Seconds, Seconds>>> fabric_busy(
-        static_cast<std::size_t>(problem_.stages));
-    if (shared) {
-      for (const OpSpan& span : timeline_) {
-        if (!span.is_transfer) {
-          continue;
-        }
-        const int to = span.op.kind == OpKind::kForward
-                           ? problem_.stage_of_chunk(span.op.chunk + 1)
-                           : problem_.stage_of_chunk(span.op.chunk - 1);
-        fabric_busy[static_cast<std::size_t>(span.stage)].push_back({span.start, span.end});
-        if (to != span.stage) {
-          fabric_busy[static_cast<std::size_t>(to)].push_back({span.start, span.end});
+    // Merge each stage's fabric-busy intervals (empty unless shared).
+    const bool shared = !fabric_busy_.empty();
+    for (auto& intervals : fabric_busy_) {
+      std::sort(intervals.begin(), intervals.end());
+      std::vector<std::pair<Seconds, Seconds>> merged;
+      for (const auto& interval : intervals) {
+        if (!merged.empty() && interval.first <= merged.back().second) {
+          merged.back().second = std::max(merged.back().second, interval.second);
+        } else {
+          merged.push_back(interval);
         }
       }
-      for (auto& intervals : fabric_busy) {
-        std::sort(intervals.begin(), intervals.end());
-        std::vector<std::pair<Seconds, Seconds>> merged;
-        for (const auto& interval : intervals) {
-          if (!merged.empty() && interval.first <= merged.back().second) {
-            merged.back().second = std::max(merged.back().second, interval.second);
-          } else {
-            merged.push_back(interval);
-          }
-        }
-        intervals = std::move(merged);
-      }
+      intervals = std::move(merged);
     }
     // End of a transmission of `work` seconds entering at `start`,
     // suspended across the sorted disjoint busy `intervals`.
@@ -416,12 +413,10 @@ class Engine {
       for (const auto& [ready, bucket] : buckets) {
         const Seconds start = std::max(stream, ready);
         const Seconds end =
-            shared ? advance(fabric_busy[static_cast<std::size_t>(stage)], start,
+            shared ? advance(fabric_busy_[static_cast<std::size_t>(stage)], start,
                              costs_.DpSyncTime(bucket))
                    : start + costs_.DpSyncTime(bucket);
-        if constexpr (!kTable) {
-          timeline_.push_back({stage, bucket, start, end, /*is_transfer=*/true});
-        }
+        RecordSpan({stage, bucket, start, end, /*is_transfer=*/true});
         result.stages[static_cast<std::size_t>(stage)].dp_sync += end - start;
         stream = end;
         ++result.dp.buckets;
@@ -448,6 +443,9 @@ class Engine {
   std::vector<double> link_free_;
   std::vector<OpSpan> timeline_;
   std::vector<std::vector<MemoryPoint>> memory_timeline_;
+  // Per stage, the [start, arrival) of every pipeline transfer it sends
+  // or receives (sized only under dp_overlap && dp_link_shared).
+  std::vector<std::vector<std::pair<Seconds, Seconds>>> fabric_busy_;
   std::optional<FaultyCostModel> faulty_;
 };
 
@@ -458,9 +456,11 @@ SimResult Engine<Options>::Run() {
     remaining += ops.size();
   }
   if constexpr (!kTable) {
-    // Compute spans plus at most one transfer per F/B op; per-GEMM W
-    // splits can push past this, at which point the vector grows normally.
-    timeline_.reserve(2 * remaining);
+    if (options_.record_timeline) {
+      // Compute spans plus at most one transfer per F/B op; per-GEMM W
+      // splits can push past this, at which point the vector grows normally.
+      timeline_.reserve(2 * remaining);
+    }
   }
 
   while (remaining > 0) {
@@ -572,11 +572,13 @@ SimResult Engine<Options>::Run() {
       result.fault_spans = faulty_->Spans();
     }
     result.memory_timeline = std::move(memory_timeline_);
-    result.timeline = std::move(timeline_);
-    std::sort(result.timeline.begin(), result.timeline.end(),
-              [](const OpSpan& a, const OpSpan& b) {
-                return a.start < b.start || (a.start == b.start && a.stage < b.stage);
-              });
+    if (options_.record_timeline) {
+      result.timeline = std::move(timeline_);
+      std::sort(result.timeline.begin(), result.timeline.end(),
+                [](const OpSpan& a, const OpSpan& b) {
+                  return a.start < b.start || (a.start == b.start && a.stage < b.stage);
+                });
+    }
   }
   return result;
 }

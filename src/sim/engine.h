@@ -11,8 +11,8 @@
 // One kernel, two entry points. They share every line except the arrival
 // rule of a cross-stage transfer and what gets recorded:
 //  - Simulate, the discrete-event engine: transfers serialize per
-//    directed stage-pair link; it records the timeline (and on request
-//    the memory series) and takes fault plans and DP fabric sharing.
+//    directed stage-pair link; it records the timeline and the memory
+//    series when asked, and takes fault plans and DP fabric sharing.
 //  - PriceScheduleTable, the surrogate's table replay: a transfer arrives
 //    at producer done + transfer time (point to point), and nothing is
 //    recorded per op. On transfer-free costs the two agree bit for bit.
@@ -58,6 +58,12 @@ struct EngineOptions {
   // Throw CheckError on an activation-budget violation instead of
   // recording it (see activation_budget above).
   bool strict_activation_budget = false;
+  // Record SimResult::timeline: one span per compute op, per-GEMM W
+  // piece, transfer and DP bucket, sorted by start. Callers that read
+  // only the summary fields turn it off; every other field of the result
+  // is bit-identical either way, and the timeline stays empty (no
+  // storage reserved).
+  bool record_timeline = true;
   // Record the per-stage activation-memory series over time (enables
   // Figure-1-style memory plots; costs memory proportional to op count).
   bool record_memory_timeline = false;
@@ -149,7 +155,8 @@ struct SimResult {
   // Overlapped-DP-sync accounting (see DpSyncStats).
   DpSyncStats dp;
   // Compute spans + transfers; kDpSync bucket spans appear here with
-  // is_transfer == true when dp_overlap ran.
+  // is_transfer == true when dp_overlap ran (only when record_timeline
+  // is set).
   std::vector<OpSpan> timeline;
   // Fault windows applied to this run (only when fault_plan is set).
   std::vector<FaultSpan> fault_spans;

@@ -1,12 +1,15 @@
 // Property-based tests of the discrete-event engine: invariants that
 // must hold for every (schedule, cost, mode) combination — completeness
 // of execution, time monotonicity, work conservation, memory-budget
-// respect — swept over randomized problem shapes.
+// respect — swept over randomized problem shapes, and the parity of runs
+// with and without a recorded timeline over the schedule corpus.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <random>
+#include <string>
 #include <unordered_map>
+#include <utility>
 
 #include "core/svpp.h"
 #include "sched/baselines.h"
@@ -14,6 +17,8 @@
 #include "sim/cost_model.h"
 #include "sim/engine.h"
 #include "sim/noise.h"
+#include "schedule_corpus.h"
+#include "sim_result_match.h"
 
 namespace mepipe::sim {
 namespace {
@@ -214,6 +219,78 @@ TEST(EngineProperties, NoisyRunsPreserveInvariants) {
     const SimResult result = Simulate(schedule, noisy);
     CheckInvariants(schedule, result, noisy, /*expect_wgrad_items=*/true);
   }
+}
+
+TEST(EngineProperties, TimelineRecordingChangesNoOtherField) {
+  // Transfers, DP buckets and multi-GEMM W all cost time, so link
+  // serialization, fabric sharing and per-GEMM fill all run; the fault
+  // plan dilates stage 1 and fails stage 0 at t=6.
+  const UniformCostModel costs(1.0, 2.0, 0.7, /*transfer=*/0.25, /*act_bytes=*/10,
+                               /*act_grad_bytes=*/3, /*wgrad_gemms=*/3, /*dp_sync=*/0.8);
+  FaultPlan faults;
+  faults.stragglers.push_back({/*stage=*/1, /*begin=*/2.0, /*end=*/9.0, /*slowdown=*/1.5});
+  faults.fail_stops.push_back({/*stage=*/0, /*time=*/6.0, /*detection_delay=*/0.5,
+                               /*restart_time=*/1.0});
+  struct Row {
+    const char* label;
+    bool dp_overlap;
+    bool dp_link_shared;
+    bool faulted;
+    bool memory_timeline;
+  };
+  const Row rows[] = {
+      {"clean", false, false, false, false},
+      {"dp", true, false, false, false},
+      {"dp shared", true, true, false, false},
+      {"faulted", false, false, true, false},
+      {"dp faulted", true, false, true, false},
+      {"dp shared faulted memory", true, true, true, true},
+  };
+  const std::pair<WgradMode, const char*> modes[] = {{WgradMode::kImmediate, "immediate"},
+                                                     {WgradMode::kFillWhole, "fill_whole"},
+                                                     {WgradMode::kFillGemms, "fill_gemms"}};
+  // DP comm-stream time summed over stages; fabric sharing can only add.
+  const auto dp_sync_time = [](const SimResult& result) {
+    Seconds total = 0;
+    for (const StageMetrics& stage : result.stages) {
+      total += stage.dp_sync;
+    }
+    return total;
+  };
+  int stretched = 0;  // runs whose DP sync fabric sharing stretched
+  for (const CorpusEntry& entry : ScheduleCorpus()) {
+    for (const auto& [mode, mode_label] : modes) {
+      Seconds unshared_dp_sync = 0;
+      for (const Row& row : rows) {
+        EngineOptions kept_options;
+        kept_options.wgrad_mode = mode;
+        kept_options.dp_overlap = row.dp_overlap;
+        kept_options.dp_link_shared = row.dp_link_shared;
+        if (row.faulted) {
+          kept_options.fault_plan = faults;
+        }
+        kept_options.record_memory_timeline = row.memory_timeline;
+        EngineOptions dropped_options = kept_options;
+        dropped_options.record_timeline = false;
+        const SimResult kept = Simulate(entry.schedule, costs, kept_options);
+        const SimResult dropped = Simulate(entry.schedule, costs, dropped_options);
+
+        const std::string label = entry.shape + " " + mode_label + " " + row.label;
+        ExpectSameResult(dropped, kept, label);
+        EXPECT_FALSE(kept.timeline.empty()) << label;
+        EXPECT_TRUE(dropped.timeline.empty()) << label;
+        EXPECT_EQ(dropped.timeline.capacity(), 0u) << label;
+        if (row.dp_overlap && !row.faulted) {
+          if (row.dp_link_shared) {
+            stretched += dp_sync_time(kept) > unshared_dp_sync ? 1 : 0;
+          } else {
+            unshared_dp_sync = dp_sync_time(kept);
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(stretched, 0);
 }
 
 }  // namespace

@@ -4,12 +4,56 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "hw/cluster.h"
 #include "model/transformer.h"
+#include "sched/serialize.h"
 #include "sim/fault.h"
+#include "sim_result_match.h"
 
 namespace mepipe::core {
 namespace {
+
+// Every field of two winners but the engine timeline, bit for bit.
+void ExpectSameWinner(const IterationResult& a, const IterationResult& b,
+                      const std::string& label) {
+  EXPECT_EQ(a.strategy.ToString(), b.strategy.ToString()) << label;
+  EXPECT_EQ(a.feasible, b.feasible) << label;
+  EXPECT_EQ(a.note, b.note) << label;
+  EXPECT_EQ(a.micros, b.micros) << label;
+  EXPECT_EQ(a.pipeline_time, b.pipeline_time) << label;
+  EXPECT_EQ(a.mitigation.rebalanced, b.mitigation.rebalanced) << label;
+  EXPECT_EQ(a.mitigation.unmitigated_pipeline_time, b.mitigation.unmitigated_pipeline_time)
+      << label;
+  EXPECT_EQ(a.dp.overlapped, b.dp.overlapped) << label;
+  EXPECT_EQ(a.dp.serialized, b.dp.serialized) << label;
+  EXPECT_EQ(a.dp.hidden, b.dp.hidden) << label;
+  EXPECT_EQ(a.dp.exposed, b.dp.exposed) << label;
+  EXPECT_EQ(a.dp_sync_time, b.dp_sync_time) << label;
+  EXPECT_EQ(a.iteration_time, b.iteration_time) << label;
+  EXPECT_EQ(a.bubble_ratio, b.bubble_ratio) << label;
+  EXPECT_EQ(a.static_memory, b.static_memory) << label;
+  EXPECT_EQ(a.peak_activation, b.peak_activation) << label;
+  EXPECT_EQ(a.peak_memory, b.peak_memory) << label;
+  EXPECT_EQ(a.checkpoint_shard, b.checkpoint_shard) << label;
+  EXPECT_EQ(a.checkpoint_state, b.checkpoint_state) << label;
+  EXPECT_EQ(a.goodput.priced, b.goodput.priced) << label;
+  EXPECT_EQ(a.goodput.checkpoint_interval, b.goodput.checkpoint_interval) << label;
+  EXPECT_EQ(a.goodput.checkpoint_write_cost, b.goodput.checkpoint_write_cost) << label;
+  EXPECT_EQ(a.goodput.goodput, b.goodput.goodput) << label;
+  EXPECT_EQ(a.goodput.effective_iteration_time, b.goodput.effective_iteration_time) << label;
+  EXPECT_EQ(a.per_gpu_flops, b.per_gpu_flops) << label;
+  EXPECT_EQ(a.mfu, b.mfu) << label;
+  ExpectSameResult(a.sim, b.sim, label);
+  ASSERT_EQ(a.schedule.stage_ops.empty(), b.schedule.stage_ops.empty()) << label;
+  if (!a.schedule.stage_ops.empty()) {
+    EXPECT_EQ(sched::SerializeSchedule(a.schedule), sched::SerializeSchedule(b.schedule))
+        << label;
+  }
+  EXPECT_EQ(a.activation_budget, b.activation_budget) << label;
+}
 
 TEST(Planner, FindsFeasibleStrategiesForAllMainMethods) {
   const auto config = model::Llama13B();
@@ -73,15 +117,101 @@ TEST(Planner, RespectsMinDp) {
   }
 }
 
-TEST(Planner, EvaluatedTimelinesAreDropped) {
-  const auto config = model::Llama13B();
+TEST(Planner, WinnerKeepsATimelineOnlyWhenAskedAndIsOtherwiseUnchanged) {
+  // Without keep_timeline the phase-2 result is returned as the winner
+  // instead of a re-simulation; with it the winner is re-simulated to
+  // record one. Both winners agree on every other field, and evaluated
+  // candidates never keep a timeline.
   const auto cluster = hw::Rtx4090Cluster();
-  const auto result = SearchBestStrategy(Method::kSvpp, config, cluster, 32);
-  ASSERT_TRUE(result.best.has_value());
-  EXPECT_FALSE(result.best->sim.timeline.empty());  // winner re-simulated
-  for (const auto& e : result.evaluated) {
-    EXPECT_TRUE(e.sim.timeline.empty());
+  struct Row {
+    std::string label;
+    Method method;
+    model::TransformerConfig config;
+    int global_batch;
+    PlannerOptions options;
+  };
+  std::vector<Row> rows;
+  PlannerOptions small;
+  small.pp_candidates = {2, 4, 8};
+  small.slice_candidates = {1, 2, 4};
+  small.vp_candidates = {1, 2};
+  small.resilience.seed = 7;
+  // Llama-7B: every method has a feasible winner on this grid.
+  for (PlannerObjective objective :
+       {PlannerObjective::kIterationTime, PlannerObjective::kGoodput}) {
+    for (Method m : {Method::kGPipe, Method::kDapple, Method::kVpp, Method::kHanayo,
+                     Method::kTeraPipe, Method::kZb1p, Method::kZbv, Method::kZbvCapped,
+                     Method::kSvpp, Method::kSynth}) {
+      Row row{std::string(ToString(m)) +
+                  (objective == PlannerObjective::kGoodput ? " goodput" : " time"),
+              m, model::Llama7B(), 32, small};
+      row.options.objective = objective;
+      row.options.iteration.keep_schedule = objective == PlannerObjective::kIterationTime;
+      rows.push_back(std::move(row));
+    }
   }
+  // A faulted search whose winner is the rebalanced variant.
+  Row rebalanced{"svpp search_rebalanced", Method::kSvpp, model::Llama13B(), 32, {}};
+  rebalanced.options.pp_candidates = {8};
+  rebalanced.options.slice_candidates = {1, 2};
+  rebalanced.options.vp_candidates = {1};
+  sim::FaultPlan faults;
+  faults.stragglers.push_back({1, 0.0, 1e9, 3.0});
+  rebalanced.options.fault_plan = faults;
+  rebalanced.options.search_rebalanced = true;
+  rebalanced.options.iteration.keep_schedule = true;
+  rows.push_back(std::move(rebalanced));
+
+  for (const Row& row : rows) {
+    PlannerOptions kept = row.options;
+    kept.iteration.keep_timeline = true;
+    PlannerOptions dropped = row.options;
+    dropped.iteration.keep_timeline = false;
+    const auto with =
+        SearchBestStrategy(row.method, row.config, cluster, row.global_batch, kept);
+    const auto without =
+        SearchBestStrategy(row.method, row.config, cluster, row.global_batch, dropped);
+    ASSERT_TRUE(with.best.has_value()) << row.label;
+    ASSERT_TRUE(without.best.has_value()) << row.label;
+    EXPECT_EQ(with.simulated, without.simulated) << row.label;
+    for (const auto& e : without.evaluated) {
+      EXPECT_TRUE(e.sim.timeline.empty()) << row.label;
+    }
+    for (const auto& e : with.evaluated) {
+      EXPECT_TRUE(e.sim.timeline.empty()) << row.label;
+    }
+    ExpectSameWinner(*without.best, *with.best, row.label);
+    EXPECT_FALSE(with.best->sim.timeline.empty()) << row.label;
+    EXPECT_TRUE(without.best->sim.timeline.empty()) << row.label;
+    if (row.options.search_rebalanced) {
+      EXPECT_TRUE(with.best->mitigation.rebalanced) << row.label;
+    }
+  }
+
+  // The fleet search runs the same driver.
+  hw::ClusterTopology fleet;
+  fleet.tiers = {hw::Rtx4090Tier(), hw::A100Tier()};
+  fleet.SetLinkBetween(0, 1, hw::LanLink(cluster.inter_node));
+  PlannerOptions fleet_options;
+  fleet_options.min_dp = 1;
+  fleet_options.pp_candidates = {4, 8};
+  fleet_options.slice_candidates = {1, 4};
+  fleet_options.vp_candidates = {1};
+  fleet_options.two_phase = true;
+  fleet_options.iteration.keep_schedule = true;
+  PlannerOptions fleet_dropped = fleet_options;
+  fleet_dropped.iteration.keep_timeline = false;
+  const auto with =
+      SearchBestFleetStrategy(Method::kSvpp, model::Llama7B(), fleet, 128, fleet_options);
+  const auto without =
+      SearchBestFleetStrategy(Method::kSvpp, model::Llama7B(), fleet, 128, fleet_dropped);
+  ASSERT_TRUE(with.best.has_value());
+  ASSERT_TRUE(without.best.has_value());
+  EXPECT_EQ(without.best->placed.ToString(), with.best->placed.ToString());
+  EXPECT_EQ(without.best->dollars.usd_per_iteration, with.best->dollars.usd_per_iteration);
+  ExpectSameWinner(without.best->result, with.best->result, "fleet svpp");
+  EXPECT_FALSE(with.best->result.sim.timeline.empty());
+  EXPECT_TRUE(without.best->result.sim.timeline.empty());
 }
 
 TEST(Planner, SpeedupGrowsAsBatchShrinks) {

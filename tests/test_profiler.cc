@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
+#include "common/check.h"
 #include "core/svpp.h"
 #include "sched/baselines.h"
 #include "sim/cost_model.h"
@@ -49,6 +53,27 @@ TEST(Profiler, ReportMentionsEveryKind) {
   EXPECT_NE(report.find("F "), std::string::npos);
   EXPECT_NE(report.find("B "), std::string::npos);
   EXPECT_NE(report.find("ms"), std::string::npos);
+}
+
+TEST(Profiler, RejectsARunRecordedWithoutATimeline) {
+  // An empty profile would make ProfiledCostModel fall back to the
+  // analytic model for every op without saying so.
+  const auto schedule = sched::OneFOneBSchedule(3, 4);
+  const sim::UniformCostModel costs(1.0, 2.0, 0.0, 0.1);
+  sim::EngineOptions untimed;
+  untimed.record_timeline = false;
+  const std::pair<const char*, sim::SimResult> rows[] = {
+      {"table replay", sim::PriceScheduleTable(schedule, costs)},
+      {"record_timeline off", sim::Simulate(schedule, costs, untimed)},
+  };
+  for (const auto& [label, result] : rows) {
+    try {
+      Profile::FromResult(result);
+      ADD_FAILURE() << label << ": no CheckError";
+    } catch (const CheckError& err) {
+      EXPECT_NE(std::string(err.what()).find("record_timeline"), std::string::npos) << label;
+    }
+  }
 }
 
 TEST(ProfiledCostModel, ReplaysMeasurements) {

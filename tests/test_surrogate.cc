@@ -20,6 +20,7 @@
 #include "sched/zbv.h"
 #include "sim/cost_model.h"
 #include "sim/engine.h"
+#include "sim_result_match.h"
 
 namespace mepipe::core {
 namespace {
@@ -49,29 +50,7 @@ std::vector<std::pair<const char*, Schedule>> TransferFreeCorpus() {
 // The two entry points of the one list interpreter, compared bit for bit
 // on every summary field they both report.
 void ExpectExactMatch(const SimResult& table, const SimResult& engine, const char* label) {
-  EXPECT_EQ(table.makespan, engine.makespan) << label;
-  EXPECT_EQ(table.bubble_ratio, engine.bubble_ratio) << label;
-  EXPECT_EQ(table.peak_activation, engine.peak_activation) << label;
-  EXPECT_EQ(table.budget_violations, engine.budget_violations) << label;
-  ASSERT_EQ(table.stages.size(), engine.stages.size()) << label;
-  for (std::size_t stage = 0; stage < engine.stages.size(); ++stage) {
-    const sim::StageMetrics& t = table.stages[stage];
-    const sim::StageMetrics& e = engine.stages[stage];
-    EXPECT_EQ(t.busy, e.busy) << label << " stage " << stage;
-    EXPECT_EQ(t.peak_activation, e.peak_activation) << label << " stage " << stage;
-    EXPECT_EQ(t.bubble_ratio, e.bubble_ratio) << label << " stage " << stage;
-    EXPECT_EQ(t.warmup_idle, e.warmup_idle) << label << " stage " << stage;
-    EXPECT_EQ(t.steady_idle, e.steady_idle) << label << " stage " << stage;
-    EXPECT_EQ(t.drain_idle, e.drain_idle) << label << " stage " << stage;
-    EXPECT_EQ(t.budget_violations, e.budget_violations) << label << " stage " << stage;
-    EXPECT_EQ(t.budget_overflow_bytes, e.budget_overflow_bytes) << label << " stage " << stage;
-    EXPECT_EQ(t.dp_sync, e.dp_sync) << label << " stage " << stage;
-  }
-  EXPECT_EQ(table.dp.serialized, engine.dp.serialized) << label;
-  EXPECT_EQ(table.dp.hidden, engine.dp.hidden) << label;
-  EXPECT_EQ(table.dp.exposed, engine.dp.exposed) << label;
-  EXPECT_EQ(table.dp.last_end, engine.dp.last_end) << label;
-  EXPECT_EQ(table.dp.buckets, engine.dp.buckets) << label;
+  ExpectSameResult(table, engine, label);
   // The table replay records nothing per op.
   EXPECT_TRUE(table.timeline.empty()) << label;
   EXPECT_TRUE(table.memory_timeline.empty()) << label;
