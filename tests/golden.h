@@ -8,12 +8,23 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
 
 namespace mepipe {
+
+// 64-bit FNV-1a, the hash golden lines record for whole serialized
+// schedules.
+inline std::uint64_t Fnv1a(const std::string& text) {
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  for (const unsigned char c : text) {
+    hash = (hash ^ c) * 0x100000001b3ULL;
+  }
+  return hash;
+}
 
 inline void ExpectMatchesGolden(const std::string& name, const std::string& text) {
   const std::string path = std::string(MEPIPE_TESTS_DIR) + "/golden/" + name;
