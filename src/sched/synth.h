@@ -11,14 +11,14 @@
 // activation budget (retained chunk-forwards) with two cooperating
 // engines:
 //
-//   composer  — an event-driven, stage-local greedy (the generalization
-//               of sched/zbv.cc's Builder to arbitrary v, both chunk
-//               placements, and fused or split backward) that turns a
-//               concrete (warmup offsets, fill policy) assignment into a
-//               complete program order. Later-visit forwards outrank
-//               earlier ones and each visit-k forward reserves v-k cap
-//               slots, so the backward chain can always be reached and
-//               the budget is respected by construction.
+//   composer  — an event-driven, stage-local greedy over arbitrary v,
+//               both chunk placements, and fused or split backward that
+//               turns a concrete (warmup offsets, fill policy) assignment
+//               into a complete program order; handcrafted ZB-V
+//               (sched/zbv.h) is four of its runs. Later-visit forwards
+//               outrank earlier ones and each visit-k forward reserves
+//               v-k cap slots, so the backward chain can always be
+//               reached and the budget is respected by construction.
 //   refiner   — a branch-and-bound over the warmup offsets, seeded by
 //               greedy incumbents, pruned by an admissible chunk-chain
 //               lower bound (for uniform-cost ZBV shapes the bound is

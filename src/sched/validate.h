@@ -1,36 +1,31 @@
-// Reusable schedule-invariant validator and the tabular schedule
-// abstraction it checks over.
+// Reusable schedule-invariant validator.
 //
 // A hand-built schedule is only as trustworthy as its checker, so every
 // schedule test suite funnels through this harness instead of ad-hoc
-// partial dependency checks. Following the tabular-schedule idea
-// (Barley et al., arXiv:2605.24006), a Schedule's per-stage program
-// orders are first flattened into a declarative (op, stage, start, end)
-// table under abstract costs — list semantics: each stage runs its ops
-// in order the instant dependencies allow — and the invariants are then
-// stated as predicates over that table:
+// partial dependency checks. It states three invariants and collects
+// every violation instead of stopping at the first:
 //
 //   multiset        every stage lists exactly its owned ops, once
 //   executable      the joint program order admits a complete execution
 //                   (dependency completeness and acyclicity)
-//   w-after-b       a static weight gradient runs after its backward,
-//                   per (micro, slice, chunk)
-//   slice-kv        causal slice order: F(m,t,g) after F(m,t-1,g) and
-//                   B(m,t,g) after B(m,t+1,g) on the same stage
-//   chunk-chain     cross-chunk dependencies are respected in table
-//                   time, including the inter-stage transfer delay
 //   activation-cap  the running count of retained forwards (released by
 //                   W when W is static, by B otherwise) never exceeds
 //                   the per-stage cap — the accounting core/memory_model
 //                   prices in bytes, checked here in forward units
-//   one-op-per-stream
-//                   a stage's compute stream never runs two ops at the
-//                   same instant (table spans do not overlap)
+//
+// The first two are ValidateSchedule's own passes (both live in
+// sched/schedule.cc). Timing predicates need no check of their own: W
+// depends on its B, F(t) on F(t-1) and B(t) on B(t+1), each pair on one
+// stage (sched/dependency.h), so a program order that executes already
+// runs W after B and slices in causal order; and a list interpreter
+// starts an op only after its dependencies (plus transfer) and the
+// stage's previous op have ended, so cross-chunk timing and one op per
+// stream at a time hold by construction for any durations.
 //
 // CheckScheduleInvariants collects every violation; the Validate
-// wrapper throws CheckError on the first. ValidateSchedule
-// (sched/schedule.h) remains the cheap structural subset generators
-// call on every construction.
+// wrapper throws CheckError with all of them. ValidateSchedule
+// (sched/schedule.h) is the throwing structural subset generators call
+// on every construction.
 #ifndef MEPIPE_SCHED_VALIDATE_H_
 #define MEPIPE_SCHED_VALIDATE_H_
 
@@ -41,34 +36,7 @@
 
 namespace mepipe::sched {
 
-// Abstract durations used to build the table. Transfers delay
-// cross-stage dependencies only.
-struct TableCosts {
-  double f_time = 1.0;
-  double b_time = 1.0;
-  double w_time = 1.0;
-  double transfer_time = 0.0;
-};
-
-struct TableRow {
-  int stage = 0;
-  OpId op;
-  double start = 0.0;
-  double end = 0.0;
-};
-
-// The flattened (op, stage, time) table, rows grouped by stage in
-// program order. Requires a schedule that already passes the structural
-// ValidateSchedule; throws CheckError otherwise.
-struct ScheduleTable {
-  std::vector<TableRow> rows;
-  double makespan = 0.0;
-};
-
-ScheduleTable BuildScheduleTable(const Schedule& schedule, const TableCosts& costs = {});
-
 struct InvariantOptions {
-  TableCosts costs;
   // Per-stage cap on retained forwards for the activation-accounting
   // invariant; empty skips the check. (Callers derive the cap from
   // core/memory_model's byte budget divided by the per-forward unit, or
@@ -77,7 +45,7 @@ struct InvariantOptions {
 };
 
 struct Violation {
-  std::string invariant;  // e.g. "w-after-b", "activation-cap"
+  std::string invariant;  // "multiset", "executable" or "activation-cap"
   std::string detail;
 };
 

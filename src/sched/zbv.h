@@ -1,5 +1,5 @@
-// The original handcrafted ZB-V schedule construction (Qi et al.,
-// "Pipeline Parallelism with Controllable Memory", arXiv:2405.15362).
+// The handcrafted ZB-V schedule (Qi et al., "Pipeline Parallelism with
+// Controllable Memory", arXiv:2405.15362).
 //
 // ZB-V places v=2 chunks per stage in a V: stage i owns chunk i on the
 // descending leg and chunk 2p-1-i on the ascending leg, so both the
@@ -12,13 +12,18 @@
 // at most 2p chunk-forwards — 1F1B-parity activation memory — are ever
 // retained per stage.
 //
-// Unlike the capped list-scheduler approximation (`ZbvCappedSchedule`),
-// this generator emits the V-shape F/B/W interleaving directly:
+// ZB-V is one point of the synthesizer's block family (sched/synth.h):
+// both entry points below run its composer at v=2, V-shape placement,
+// split backward, one retained-forward cap on every stage (max_retained,
+// else 2p) and no warmup offsets. Unlike the capped list-scheduler
+// approximation (`ZbvCappedSchedule`), that emits the V-shape F/B/W
+// interleaving directly:
 //   1. warmup     — the chunk-0 forward wave descends the V; while a
 //                   stage waits for its ascending-leg forward to come
 //                   back up, it fills the wait with future descending-
-//                   leg forwards (memory permitting) — the closed-form
-//                   warmup depth grows as the stage nears the top;
+//                   leg forwards (memory permitting) — the ascending-leg
+//                   forward outranks them, and each descending-leg
+//                   forward reserves a cap slot for it;
 //   2. steady     — one B, one F, one W per chunk per period,
 //                   alternating legs, W drawn FIFO from the pending
 //                   queue its B filled;
@@ -33,9 +38,7 @@
 // memory-aware: a fill's peak activation (retained chunk-forwards plus
 // the act-grad each pending W retains until it runs) is checked against
 // the activation budget first, and only the feasible fills compete on
-// abstract makespan. (The former makespan-only ranking could select a
-// lazy-W fill whose act-grad backlog blew the budget while a
-// memory-equivalent eager fill existed.)
+// abstract makespan.
 #ifndef MEPIPE_SCHED_ZBV_H_
 #define MEPIPE_SCHED_ZBV_H_
 

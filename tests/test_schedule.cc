@@ -24,19 +24,8 @@ Schedule TwoStageOneMicro() {
 
 TEST(Schedule, HandBuiltValidates) {
   EXPECT_NO_THROW(ValidateSchedule(TwoStageOneMicro()));
-  // The full tabular validator agrees with the structural check.
+  // The invariant validator agrees with the structural check.
   EXPECT_TRUE(CheckScheduleInvariants(TwoStageOneMicro()).ok());
-}
-
-TEST(Schedule, TableTimingOfHandBuilt) {
-  // F0@s0 [0,1] → F0@s1 [1,2] → B0@s1 [2,3] → B0@s0 [3,4] under unit
-  // costs and free transfers.
-  const ScheduleTable table = BuildScheduleTable(TwoStageOneMicro());
-  ASSERT_EQ(table.rows.size(), 4u);
-  EXPECT_DOUBLE_EQ(table.makespan, 4.0);
-  for (const TableRow& row : table.rows) {
-    EXPECT_DOUBLE_EQ(row.end - row.start, 1.0);
-  }
 }
 
 TEST(Schedule, InvariantValidatorFlagsCapOverrun) {

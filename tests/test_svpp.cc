@@ -152,7 +152,6 @@ TEST_P(SvppSweep, AllVariantsValid) {
     options.max_inflight = f;
     const Schedule schedule = GenerateSvpp(options);
     sched::InvariantOptions invariants;
-    invariants.costs.transfer_time = 0.02;
     for (int stage = 0; stage < c.p; ++stage) {
       EXPECT_LE(sched::PeakRetainedForwards(schedule, stage), std::max(floor, f - stage))
           << "f=" << f << " stage=" << stage;

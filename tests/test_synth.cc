@@ -218,10 +218,6 @@ TEST(SynthFuzz, RandomShapesPassEveryInvariantUnderBudget) {
     EXPECT_EQ(report.warmup.size(), static_cast<std::size_t>(p));
 
     InvariantOptions invariants;
-    invariants.costs.f_time = options.f_time;
-    invariants.costs.b_time = options.b_time;
-    invariants.costs.w_time = options.w_time;
-    invariants.costs.transfer_time = options.transfer_time;
     if (capped) {
       invariants.retained_cap = options.budget;
       for (int stage = 0; stage < p; ++stage) {
