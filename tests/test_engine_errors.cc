@@ -17,6 +17,7 @@
 #include "common/rng.h"
 #include "sched/baselines.h"
 #include "sched/dependency.h"
+#include "sched/validate.h"
 #include "sim/engine.h"
 #include "schedule_corpus.h"
 
@@ -190,8 +191,8 @@ void Mutate(Schedule& schedule, int kind, SplitMixRng& rng) {
 }
 
 // Differential fuzz: seeded mutations of the generated-schedule corpus.
-// ValidateSchedule, both engine entry points and the reference validator
-// must all accept or all reject each mutant.
+// ValidateSchedule, both engine entry points, the invariant checker and
+// the reference validator must all accept or all reject each mutant.
 TEST(EngineErrors, ValidationFuzzAgreesWithReferenceValidator) {
   const UniformCostModel costs(1.0, 2.0, 1.0, /*transfer=*/0.5, /*act_bytes=*/10);
   const auto accepts = [](auto&& run) {
@@ -215,6 +216,14 @@ TEST(EngineErrors, ValidationFuzzAgreesWithReferenceValidator) {
       EXPECT_EQ(accepts([&] { sched::ValidateSchedule(schedule); }), expected);
       EXPECT_EQ(accepts([&] { Simulate(schedule, costs); }), expected);
       EXPECT_EQ(accepts([&] { PriceScheduleTable(schedule, costs); }), expected);
+      // The invariant checker runs the same two passes, reporting only
+      // what they can find.
+      const sched::InvariantReport report = sched::CheckScheduleInvariants(schedule);
+      EXPECT_EQ(report.ok(), expected) << report.Summary();
+      for (const sched::Violation& violation : report.violations) {
+        EXPECT_TRUE(violation.invariant == "multiset" || violation.invariant == "executable")
+            << report.Summary();
+      }
       ++(expected ? accepted : rejected);
     }
   }
