@@ -12,7 +12,6 @@
 #include "model/flops.h"
 #include "model/memory.h"
 #include "model/slicing.h"
-#include "sched/generator.h"
 #include "sched/schedule.h"
 #include "sched/zbv.h"
 #include "sim/engine.h"
@@ -258,31 +257,13 @@ PlacedBuild BuildPlaced(const model::TransformerConfig& config, const PlacedStra
     rebalance.units_per_chunk =
         static_cast<int>(config.partition_units()) / problem.num_chunks();
     rebalance.min_units_per_chunk = 1;
-    const int floor_cap = problem.virtual_chunks * problem.slices;
-    rebalance.base_caps.resize(static_cast<std::size_t>(problem.stages));
-    for (int i = 0; i < problem.stages; ++i) {
-      rebalance.base_caps[static_cast<std::size_t>(i)] =
-          std::max(floor_cap, sched::PeakRetainedForwards(pb.build.schedule, i));
-    }
-    pb.plan = Rebalance(pb.profile, problem, rebalance);
+    sched::Schedule placed_order =
+        RegenerateForProfile(pb.build.schedule, pb.profile, rebalance, "+placed", pb.plan);
     if (pb.plan.any_change()) {
-      sched::GeneratorOptions generator;
-      generator.inflight_cap =
-          pb.plan.new_caps.empty() ? rebalance.base_caps : pb.plan.new_caps;
-      generator.backward_first = true;
-      generator.child_count_backward_priority = true;
-      generator.wgrad = pb.build.schedule.deferred_wgrad ? sched::WgradPolicy::kDeferred
-                                                         : sched::WgradPolicy::kLowestPriority;
-      generator.b_time = problem.split_backward ? 1.0 : 2.0;
-      generator.stage_time_scale.resize(static_cast<std::size_t>(problem.stages));
       for (int i = 0; i < problem.stages; ++i) {
-        generator.stage_time_scale[static_cast<std::size_t>(i)] =
-            pb.profile.slowdown[static_cast<std::size_t>(i)] *
-            pb.plan.stage_unit_ratio(problem, i);
         pb.static_scale[static_cast<std::size_t>(i)] = pb.plan.stage_unit_ratio(problem, i);
       }
-      pb.build.schedule =
-          sched::GenerateCapped(problem, generator, pb.build.schedule.method + "+placed");
+      pb.build.schedule = std::move(placed_order);
     }
   }
 

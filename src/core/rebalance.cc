@@ -467,6 +467,35 @@ RebalancePlan Rebalance(const StageProfile& profile, const sched::PipelineProble
   return plan;
 }
 
+sched::Schedule RegenerateForProfile(const sched::Schedule& schedule, const StageProfile& profile,
+                                     RebalanceOptions rebalance, const std::string& suffix,
+                                     RebalancePlan& plan) {
+  const sched::PipelineProblem& problem = schedule.problem;
+  if (rebalance.base_caps.empty()) {
+    const int floor_cap = problem.virtual_chunks * problem.slices;
+    rebalance.base_caps.resize(static_cast<std::size_t>(problem.stages));
+    for (int i = 0; i < problem.stages; ++i) {
+      rebalance.base_caps[static_cast<std::size_t>(i)] =
+          std::max(floor_cap, sched::PeakRetainedForwards(schedule, i));
+    }
+  }
+  plan = Rebalance(profile, problem, rebalance);
+
+  sched::GeneratorOptions generator;
+  generator.inflight_cap = plan.new_caps;  // set, since the base caps are
+  generator.backward_first = true;
+  generator.child_count_backward_priority = true;
+  generator.wgrad = schedule.deferred_wgrad ? sched::WgradPolicy::kDeferred
+                                            : sched::WgradPolicy::kLowestPriority;
+  generator.b_time = problem.split_backward ? 1.0 : 2.0;
+  generator.stage_time_scale.resize(static_cast<std::size_t>(problem.stages));
+  for (int i = 0; i < problem.stages; ++i) {
+    generator.stage_time_scale[static_cast<std::size_t>(i)] =
+        profile.slowdown[static_cast<std::size_t>(i)] * plan.stage_unit_ratio(problem, i);
+  }
+  return sched::GenerateCapped(problem, generator, schedule.method + suffix);
+}
+
 RebalancedCostModel::RebalancedCostModel(const sim::CostModel& base,
                                          const sched::PipelineProblem& problem,
                                          const RebalancePlan& plan,
@@ -613,38 +642,10 @@ MitigationReport MitigateStragglers(const sched::Schedule& schedule, const sim::
       options.profile.empty() ? EstimateStageSlowdowns(clean, report.faulted) : options.profile;
   report.profile.Validate(problem.stages);
 
-  RebalanceOptions rebalance = options.rebalance;
-  if (rebalance.base_caps.empty()) {
-    const int floor_cap = problem.virtual_chunks * problem.slices;
-    rebalance.base_caps.resize(static_cast<std::size_t>(problem.stages));
-    for (int i = 0; i < problem.stages; ++i) {
-      rebalance.base_caps[static_cast<std::size_t>(i)] =
-          std::max(floor_cap, sched::PeakRetainedForwards(schedule, i));
-    }
-  }
-  report.plan = Rebalance(report.profile, problem, rebalance);
-
-  const RebalancedCostModel mitigated_costs(costs, problem, report.plan, rebalance.config);
-
-  sched::GeneratorOptions generator;
-  generator.inflight_cap = report.plan.new_caps.empty() ? rebalance.base_caps : report.plan.new_caps;
-  generator.backward_first = true;
-  generator.child_count_backward_priority = true;
-  generator.wgrad = schedule.deferred_wgrad ? sched::WgradPolicy::kDeferred
-                                            : sched::WgradPolicy::kLowestPriority;
-  generator.b_time = problem.split_backward ? 1.0 : 2.0;
-  // The sched-side hook: abstract durations reflect the measured
-  // slowdown times the rebalanced layer share, so the interleaving is
-  // generated against the rates the mitigated run will actually see.
-  generator.stage_time_scale.resize(static_cast<std::size_t>(problem.stages));
-  for (int i = 0; i < problem.stages; ++i) {
-    generator.stage_time_scale[static_cast<std::size_t>(i)] =
-        report.profile.slowdown[static_cast<std::size_t>(i)] *
-        report.plan.stage_unit_ratio(problem, i);
-  }
-  report.mitigated_schedule =
-      sched::GenerateCapped(problem, generator, schedule.method + "+rebalanced");
-
+  report.mitigated_schedule = RegenerateForProfile(schedule, report.profile, options.rebalance,
+                                                   "+rebalanced", report.plan);
+  const RebalancedCostModel mitigated_costs(costs, problem, report.plan,
+                                            options.rebalance.config);
   report.mitigated = sim::Simulate(report.mitigated_schedule, mitigated_costs, faulted_options);
   report.mitigated_makespan = report.mitigated.makespan;
   return report;
