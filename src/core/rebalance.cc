@@ -487,7 +487,6 @@ sched::Schedule RegenerateForProfile(const sched::Schedule& schedule, const Stag
   generator.child_count_backward_priority = true;
   generator.wgrad = schedule.deferred_wgrad ? sched::WgradPolicy::kDeferred
                                             : sched::WgradPolicy::kLowestPriority;
-  generator.b_time = problem.split_backward ? 1.0 : 2.0;
   generator.stage_time_scale.resize(static_cast<std::size_t>(problem.stages));
   for (int i = 0; i < problem.stages; ++i) {
     generator.stage_time_scale[static_cast<std::size_t>(i)] =

@@ -41,9 +41,6 @@ sched::Schedule GenerateSvpp(const SvppOptions& options) {
   generator.backward_first = true;
   generator.child_count_backward_priority = options.reschedule_backwards;
   generator.wgrad = sched::WgradPolicy::kDeferred;
-  if (options.split_backward) {
-    generator.b_time = 1.0;  // B is the activation-gradient half only
-  }
   return GenerateCapped(problem, generator,
                         StrFormat("SVPP(v=%d,s=%d,f=%d)", options.virtual_chunks,
                                   options.slices, f));

@@ -110,8 +110,6 @@ Schedule Zb1pSchedule(int stages, int micros) {
   GeneratorOptions options;
   options.inflight_cap = CapSchedule(stages, stages, 1);
   options.wgrad = WgradPolicy::kDeferred;
-  // B here is the activation-gradient half only: roughly as long as F.
-  options.b_time = 1.0;
   return GenerateCapped(problem, options, "ZB-1P");
 }
 
@@ -144,7 +142,6 @@ Schedule ZbvCappedSchedule(int stages, int micros) {
   // retained-forward profile in the 1F1B family (ZBV's design goal).
   options.inflight_cap = CapSchedule(stages, std::max(stages, 2), 2);
   options.wgrad = WgradPolicy::kDeferred;
-  options.b_time = 1.0;
   return GenerateCapped(problem, options, "ZBV-capped");
 }
 

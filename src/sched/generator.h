@@ -5,10 +5,14 @@
 // retained forward passes (the memory knob — §4.2's "number of forward
 // passes before the first backward", parameter f).
 //
-// This single engine generates:
-//   - 1F1B/DAPPLE      (v=1, s=1, cap_i = min(n, p-i))
+// It is one policy of the list-scheduling kernel (sched/list_scheduler.h)
+// that also runs the synthesizer's composer. With the composer it builds
+// every schedule the planner prices except VPP's closed-form order:
+//   - 1F1B/DAPPLE      (v=1, s=1, cap_i = min(n, p-i)) and ZB-1P
 //   - SVPP and all its memory variants (general v, s, cap_i = max(v·s, f-i))
 //   - TeraPipe/GPipe   (uncapped, forward-first priority)
+//   - Hanayo and ZBV-capped (v=2, V-shape placement)
+//   - every straggler and fleet regeneration (core/rebalance)
 // The cap schema cap_i = max(v·s, f−i) reduces exactly to 1F1B's warmup
 // depth for v=s=1, f=p.
 #ifndef MEPIPE_SCHED_GENERATOR_H_
@@ -30,8 +34,6 @@ struct GeneratorIssue {
     kStageTimeScaleArity,   // stage_time_scale length != stage count
     kNonPositiveTimeScale,  // a stage_time_scale entry <= 0 (or NaN)
     kNegativeInflightCap,   // an inflight_cap entry < 0
-    kNonPositiveDuration,   // an abstract f/b/w duration <= 0
-    kNegativeTransfer,      // transfer_time < 0
   };
   Code code;
   int stage = -1;  // offending entry index, when applicable
@@ -44,7 +46,6 @@ const char* GeneratorIssueCodeName(GeneratorIssue::Code code);
 enum class WgradPolicy {
   kDeferred,        // not in the static order; the engine fills bubbles (§5)
   kLowestPriority,  // statically placed only when no F/B is ready (ZB-style)
-  kImmediate,       // statically placed right after the producing B
 };
 
 struct GeneratorOptions {
@@ -61,28 +62,18 @@ struct GeneratorOptions {
   // ((slice+1)·(chunk+1) − 1), which unblocks the largest remaining
   // subtree. Off ⇒ plain lexicographic order (the unoptimized variant).
   bool child_count_backward_priority = false;
-  // Abstract durations used only to order the generation; real costs are
-  // applied later by the execution engine.
-  double f_time = 1.0;
-  double b_time = 2.0;
-  double w_time = 1.0;
   // Per-stage multipliers on the abstract durations (all must be > 0):
-  // an op on stage i takes kind_time · stage_time_scale[i]. Empty =
-  // uniform stages. This is the straggler-aware hook: core/rebalance
-  // passes measured slowdowns (× the rebalanced layer-share ratio) so
-  // the generated interleaving wraps around a known-slow stage instead
-  // of assuming uniform rates.
+  // an op on stage i takes its kind's duration · stage_time_scale[i].
+  // Empty = uniform stages. This is the straggler-aware hook:
+  // core/rebalance passes measured slowdowns (× the rebalanced
+  // layer-share ratio) so the generated interleaving wraps around a
+  // known-slow stage instead of assuming uniform rates. The abstract
+  // durations only order the generation (real costs are applied later by
+  // the execution engine): F and W take 1, B takes 1 when the problem
+  // splits the backward (its activation-gradient half) and 2 otherwise,
+  // and a cross-stage transfer takes 0.05 — small and positive, so a
+  // transfer never beats a no-op.
   std::vector<double> stage_time_scale;
-  // Abstract inter-stage transfer delay; a small positive value keeps the
-  // generated interleavings realistic (a transfer never beats a no-op).
-  double transfer_time = 0.05;
-  // Scheduling lookahead: an op whose dependencies complete within this
-  // window still competes for the current slot (the stage idles until it
-  // is ready). Without it, a ready backward that beats an in-flight
-  // forward by one transfer latency steals the slot and delays the
-  // forward relay by a whole backward — a limit cycle that inflates the
-  // steady-state bubble. Defaults to 2× transfer_time.
-  double lookahead = -1.0;
 
   // Structured admissibility checks against a `stages`-stage problem.
   // Empty result ⇔ the options are well-formed (a length mismatch

@@ -4,13 +4,14 @@
 #include <cmath>
 #include <deque>
 #include <limits>
+#include <optional>
 #include <tuple>
 #include <utility>
 #include <vector>
 
 #include "common/check.h"
 #include "common/format.h"
-#include "sched/dependency.h"
+#include "sched/list_scheduler.h"
 #include "sched/validate.h"
 #include "sched/zbv.h"
 
@@ -80,12 +81,14 @@ struct Composed {
   std::vector<int> first_backward_forwards;  // realized warmup per stage
 };
 
-// The building-block composer: an event-driven, stage-local greedy over
-// (warmup offsets, fill policy) for arbitrary v, both placements, and
-// fused or split backward. Both the synthesizer and handcrafted ZB-V
-// run it. Its deadlock-avoidance invariant: a visit-k forward reserves
-// v-k cap slots, so later-visit forwards (the ones that unlock the
-// backward chain) are always admissible when earlier ones are.
+// The building-block composer: a list-scheduling policy
+// (sched/list_scheduler.h) over (warmup offsets, fill policy) for
+// arbitrary v, both placements, and fused or split backward. Both the
+// synthesizer and handcrafted ZB-V run it. A stage's candidates are each
+// visit's next forward and backward and, when split, its oldest pending
+// W. Its deadlock-avoidance invariant: a visit-k forward reserves v-k
+// cap slots, so later-visit forwards (the ones that unlock the backward
+// chain) are always admissible when earlier ones are.
 class Composer {
  public:
   Composer(const PipelineProblem& problem, const SynthOptions& options,
@@ -97,40 +100,22 @@ class Composer {
         caps_(caps),
         warmup_(warmup),
         policy_(policy),
-        state_(static_cast<std::size_t>(problem.stages)),
-        index_(problem),
-        done_(index_.size(), kInfinity) {}
+        kernel_(problem, problem.split_backward, options.transfer_time),
+        state_(static_cast<std::size_t>(problem.stages)) {
+    for (StageState& st : state_) {
+      st.f_next.assign(static_cast<std::size_t>(problem.virtual_chunks), 0);
+      st.b_next.assign(static_cast<std::size_t>(problem.virtual_chunks), 0);
+    }
+  }
 
   // Throws CheckError when the (warmup, cap) assignment deadlocks.
   Composed Run();
 
- private:
-  // A candidate's earliest start, memoized: once finite it never moves
-  // (a finished op's completion time is final), and while +inf it stays
-  // so until `blocker`, the slot of an unfinished dependency, has run.
-  struct Readiness {
-    double ready = kInfinity;
-    std::size_t blocker = 0;
-    bool blocked = false;
-  };
-
-  struct StageState {
-    std::vector<int> f_next;  // next micro to forward, per visit
-    std::vector<int> b_next;
-    std::vector<Readiness> f_ready;  // of f_next's op, per visit
-    std::vector<Readiness> b_ready;
-    std::deque<OpId> pending_w;  // Ws whose B has run, FIFO (split only)
-    int retained = 0;            // chunk-forwards awaiting their release
-    int peak_retained = 0;
-    int forwards_done = 0;
-    int backwards_done = 0;
-    int first_backward_forwards = -1;  // forwards_done when the first B ran
-    double free_at = 0.0;
-    bool prefer_backward = false;
-  };
-
-  double Duration(OpKind kind) const {
-    switch (kind) {
+  // The ListScheduler policy.
+  void Unlocked(int, const OpId&) {}  // candidates are the per-visit cursors
+  std::optional<ListScheduler::Choice> Pick(int stage, double horizon, double& next_event);
+  double Duration(int, const OpId& op) const {
+    switch (op.kind) {
       case OpKind::kForward:
         return options_.f_time;
       case OpKind::kBackward:
@@ -139,25 +124,20 @@ class Composer {
         return options_.w_time;
     }
   }
+  void Scheduled(int stage, const OpId& op);
 
-  // Earliest start permitted by finished dependencies; +inf if one is
-  // still unscheduled (its completion slot still holds +inf).
-  double ReadyTime(const OpId& op, Readiness& memo) const {
-    if (memo.ready != kInfinity || (memo.blocked && done_[memo.blocker] == kInfinity)) {
-      return memo.ready;
-    }
-    double ready = 0.0;
-    ForEachDependency(problem_, op, [&](const Dep& dep) {
-      const std::size_t slot = index_(dep.op);
-      if (done_[slot] == kInfinity) {
-        memo.blocker = slot;
-        memo.blocked = true;
-      }
-      ready = std::max(ready, done_[slot] + (dep.cross_stage ? options_.transfer_time : 0.0));
-    });
-    memo.ready = ready;
-    return ready;
-  }
+ private:
+  struct StageState {
+    std::vector<int> f_next;  // next micro to forward, per visit
+    std::vector<int> b_next;
+    std::deque<OpId> pending_w;  // Ws whose B has run, FIFO (split only)
+    int retained = 0;            // chunk-forwards awaiting their release
+    int peak_retained = 0;
+    int forwards_done = 0;
+    int backwards_done = 0;
+    int first_backward_forwards = -1;  // forwards_done when the first B ran
+    bool prefer_backward = false;
+  };
 
   const PipelineProblem& problem_;
   const SynthOptions& options_;
@@ -165,188 +145,140 @@ class Composer {
   const std::vector<int>& caps_;
   const std::vector<int>& warmup_;
   const FillPolicy policy_;
+  ListScheduler kernel_;
   std::vector<StageState> state_;
-  // Completion time per op slot; +inf = not run yet.
-  const OpIndex index_;
-  std::vector<double> done_;
+  std::size_t picked_visit_ = 0;  // visit of the F or B Pick returned
 };
 
-Composed Composer::Run() {
-  const int p = problem_.stages;
+std::optional<ListScheduler::Choice> Composer::Pick(int stage, double horizon,
+                                                    double& next_event) {
   const int n = problem_.micros;
   const int v = problem_.virtual_chunks;
-  const bool split = problem_.split_backward;
-  const double lookahead = 2.0 * options_.transfer_time;
-  const int ops_per_fb = (split ? 3 : 2);
   const int stage_forwards = n * v;  // as many backwards
+  StageState& st = state_[static_cast<std::size_t>(stage)];
+  const auto& chunks = local_[static_cast<std::size_t>(stage)];
+  const bool f_left = st.forwards_done < stage_forwards;
+  const bool b_left = st.backwards_done < stage_forwards;
 
-  for (int stage = 0; stage < p; ++stage) {
-    StageState& st = state_[static_cast<std::size_t>(stage)];
-    st.f_next.assign(static_cast<std::size_t>(v), 0);
-    st.b_next.assign(static_cast<std::size_t>(v), 0);
-    st.f_ready.assign(static_cast<std::size_t>(v), Readiness{});
-    st.b_ready.assign(static_cast<std::size_t>(v), Readiness{});
+  struct Candidate {
+    OpId op;
+    double ready = kInfinity;
+    std::int64_t rank = 0;
+    std::size_t visit = 0;  // F and B only
+  };
+  Candidate best;
+  bool found = false;
+  bool forward_capped = false;  // a dep-ready F was blocked by the cap
+
+  const int cap = caps_[static_cast<std::size_t>(stage)];
+  auto consider = [&](const OpId& op, std::int64_t rank, int headroom, std::size_t visit) {
+    const double ready = kernel_.Ready(op);
+    if (ready > horizon) {  // includes kUnready: a dependency is unplaced
+      next_event = std::min(next_event, ready);
+      return;
+    }
+    if (op.kind == OpKind::kForward && st.retained > cap - headroom) {
+      forward_capped = true;
+      return;
+    }
+    if (!found || std::tie(rank, ready, op.micro, op.chunk) <
+                      std::tie(best.rank, best.ready, best.op.micro, best.op.chunk)) {
+      best = {op, ready, rank, visit};
+      found = true;
+    }
+  };
+
+  // Kind preference: with the alternate policy an F prefers to follow
+  // a B and vice versa (keeps the relay feeding downstream stages);
+  // without it, ready backwards always drain first.
+  const int f_rank = policy_.alternate ? (st.prefer_backward ? 1 : 0) : 1;
+  const int b_rank = 1 - f_rank;
+
+  // Forwards: the later-visit forward outranks the earlier one — it
+  // is the op that unlocks the local backward chain — and a visit-k
+  // forward reserves v-k cap slots so later visits stay admissible.
+  for (int k = 0; k < v; ++k) {
+    const std::size_t visit = static_cast<std::size_t>(k);
+    const int micro = st.f_next[visit];
+    if (micro < n) {
+      consider({OpKind::kForward, micro, 0, chunks[visit]},
+               static_cast<std::int64_t>(f_rank) * 1000 + (v - 1 - k), v - k, visit);
+    }
   }
+  // Backwards are gated behind the warmup offset: the block
+  // parameterization fixes the number of forwards a stage runs
+  // before its first backward. The gate lifts once the stage's
+  // forwards are exhausted; a gate the memory cap makes
+  // unsatisfiable deadlocks, and the refiner discards the offsets.
+  const bool warmup_met =
+      st.forwards_done >= warmup_[static_cast<std::size_t>(stage)] || !f_left;
+  if (warmup_met) {
+    // All visits' backwards rank equally (dependencies and the
+    // (ready, micro, chunk) tie-break order the legs naturally —
+    // the zbv recipe's choice).
+    for (int k = 0; k < v; ++k) {
+      const std::size_t visit = static_cast<std::size_t>(k);
+      const int micro = st.b_next[visit];
+      if (micro < n) {
+        consider({OpKind::kBackward, micro, 0, chunks[visit]},
+                 static_cast<std::int64_t>(b_rank) * 1000, 0, visit);
+      }
+    }
+  }
+  const bool w_admissible = !st.pending_w.empty() &&
+                            (policy_.w_eager || forward_capped || (!f_left && !b_left));
+  if (w_admissible) {
+    consider(st.pending_w.front(), 2 * 1000, 0, 0);
+  }
+  if (!found) {
+    return std::nullopt;
+  }
+  picked_visit_ = best.visit;
+  return ListScheduler::Choice{best.op, best.ready};
+}
+
+void Composer::Scheduled(int stage, const OpId& op) {
+  StageState& st = state_[static_cast<std::size_t>(stage)];
+  switch (op.kind) {
+    case OpKind::kForward:
+      ++st.retained;
+      st.peak_retained = std::max(st.peak_retained, st.retained);
+      ++st.f_next[picked_visit_];
+      ++st.forwards_done;
+      st.prefer_backward = true;
+      break;
+    case OpKind::kBackward:
+      if (st.first_backward_forwards < 0) {
+        st.first_backward_forwards = st.forwards_done;
+      }
+      ++st.b_next[picked_visit_];
+      ++st.backwards_done;
+      if (problem_.split_backward) {
+        st.pending_w.push_back({OpKind::kWeightGrad, op.micro, 0, op.chunk});
+      } else {
+        --st.retained;
+      }
+      st.prefer_backward = false;
+      break;
+    default:  // kWeightGrad
+      --st.retained;
+      st.pending_w.pop_front();
+      break;
+  }
+}
+
+Composed Composer::Run() {
+  const std::size_t left = kernel_.Run(*this);
+  MEPIPE_CHECK_EQ(left, 0u)
+      << "schedule composition deadlocked with " << left
+      << " ops left; the warmup offsets are unsatisfiable under the activation budget";
 
   Composed composed;
-  composed.order.resize(static_cast<std::size_t>(p));
-  std::size_t remaining =
-      static_cast<std::size_t>(p) * static_cast<std::size_t>(ops_per_fb) * v *
-      static_cast<std::size_t>(n);
-
-  double now = 0.0;
-  while (remaining > 0) {
-    bool scheduled_any = false;
-    double next_event = kInfinity;
-
-    for (int stage = 0; stage < p; ++stage) {
-      StageState& st = state_[static_cast<std::size_t>(stage)];
-      const auto& chunks = local_[static_cast<std::size_t>(stage)];
-      const bool f_left = st.forwards_done < stage_forwards;
-      const bool b_left = st.backwards_done < stage_forwards;
-      if (!f_left && !b_left && st.pending_w.empty()) {
-        continue;  // stage fully drained
-      }
-      if (st.free_at > now) {
-        next_event = std::min(next_event, st.free_at);
-        continue;
-      }
-
-      struct Candidate {
-        OpId op;
-        double ready = kInfinity;
-        std::int64_t rank = 0;
-        std::size_t visit = 0;  // F and B only
-      };
-      Candidate best;
-      bool found = false;
-      bool forward_capped = false;  // a dep-ready F was blocked by the cap
-
-      const int cap = caps_[static_cast<std::size_t>(stage)];
-      auto consider = [&](const OpId& op, std::int64_t rank, int headroom, std::size_t visit,
-                          Readiness& memo) {
-        const double ready = ReadyTime(op, memo);
-        if (ready == kInfinity) {
-          return;
-        }
-        if (ready > now + lookahead) {
-          next_event = std::min(next_event, ready);
-          return;
-        }
-        if (op.kind == OpKind::kForward && st.retained > cap - headroom) {
-          forward_capped = true;
-          return;
-        }
-        if (!found || std::tie(rank, ready, op.micro, op.chunk) <
-                          std::tie(best.rank, best.ready, best.op.micro, best.op.chunk)) {
-          best = {op, ready, rank, visit};
-          found = true;
-        }
-      };
-
-      // Kind preference: with the alternate policy an F prefers to follow
-      // a B and vice versa (keeps the relay feeding downstream stages);
-      // without it, ready backwards always drain first.
-      const int f_rank = policy_.alternate ? (st.prefer_backward ? 1 : 0) : 1;
-      const int b_rank = 1 - f_rank;
-
-      // Forwards: the later-visit forward outranks the earlier one — it
-      // is the op that unlocks the local backward chain — and a visit-k
-      // forward reserves v-k cap slots so later visits stay admissible.
-      for (int k = 0; k < v; ++k) {
-        const std::size_t visit = static_cast<std::size_t>(k);
-        const int micro = st.f_next[visit];
-        if (micro < n) {
-          consider({OpKind::kForward, micro, 0, chunks[visit]},
-                   static_cast<std::int64_t>(f_rank) * 1000 + (v - 1 - k), v - k, visit,
-                   st.f_ready[visit]);
-        }
-      }
-      // Backwards are gated behind the warmup offset: the block
-      // parameterization fixes the number of forwards a stage runs
-      // before its first backward. The gate lifts once the stage's
-      // forwards are exhausted; a gate the memory cap makes
-      // unsatisfiable deadlocks, and the refiner discards the offsets.
-      const bool warmup_met =
-          st.forwards_done >= warmup_[static_cast<std::size_t>(stage)] || !f_left;
-      if (warmup_met) {
-        // All visits' backwards rank equally (dependencies and the
-        // (ready, micro, chunk) tie-break order the legs naturally —
-        // the zbv recipe's choice).
-        for (int k = 0; k < v; ++k) {
-          const std::size_t visit = static_cast<std::size_t>(k);
-          const int micro = st.b_next[visit];
-          if (micro < n) {
-            consider({OpKind::kBackward, micro, 0, chunks[visit]},
-                     static_cast<std::int64_t>(b_rank) * 1000, 0, visit, st.b_ready[visit]);
-          }
-        }
-      }
-      const bool w_admissible =
-          !st.pending_w.empty() &&
-          (policy_.w_eager || forward_capped || (!f_left && !b_left));
-      if (w_admissible) {
-        Readiness w_ready;
-        consider(st.pending_w.front(), 2 * 1000, 0, 0, w_ready);
-      }
-      if (!found) {
-        continue;
-      }
-
-      const OpId op = best.op;
-      const double start = std::max(now, best.ready);
-      const double end = start + Duration(op.kind);
-      done_[index_(op)] = end;
-      composed.order[static_cast<std::size_t>(stage)].push_back(op);
-      switch (op.kind) {
-        case OpKind::kForward:
-          ++st.retained;
-          st.peak_retained = std::max(st.peak_retained, st.retained);
-          ++st.f_next[best.visit];
-          st.f_ready[best.visit] = Readiness{};
-          ++st.forwards_done;
-          st.prefer_backward = true;
-          break;
-        case OpKind::kBackward:
-          if (st.first_backward_forwards < 0) {
-            st.first_backward_forwards = st.forwards_done;
-          }
-          ++st.b_next[best.visit];
-          st.b_ready[best.visit] = Readiness{};
-          ++st.backwards_done;
-          if (split) {
-            st.pending_w.push_back({OpKind::kWeightGrad, op.micro, 0, op.chunk});
-          } else {
-            --st.retained;
-          }
-          st.prefer_backward = false;
-          break;
-        default:  // kWeightGrad
-          --st.retained;
-          st.pending_w.pop_front();
-          break;
-      }
-      st.free_at = end;
-      --remaining;
-      scheduled_any = true;
-      next_event = std::min(next_event, end);
-    }
-
-    if (scheduled_any) {
-      continue;  // other stages may start at the same instant
-    }
-    MEPIPE_CHECK_LT(next_event, kInfinity)
-        << "schedule composition deadlocked with " << remaining
-        << " ops left; the warmup offsets are unsatisfiable under the activation budget";
-    now = next_event;
-  }
-
-  composed.makespan = 0.0;
-  composed.first_backward_forwards.resize(static_cast<std::size_t>(p), 0);
-  composed.peak_retained = 0;
-  for (int stage = 0; stage < p; ++stage) {
+  composed.order = kernel_.TakeOrder();
+  composed.makespan = kernel_.makespan();
+  composed.first_backward_forwards.resize(static_cast<std::size_t>(problem_.stages), 0);
+  for (int stage = 0; stage < problem_.stages; ++stage) {
     const StageState& st = state_[static_cast<std::size_t>(stage)];
-    composed.makespan = std::max(composed.makespan, st.free_at);
     composed.peak_retained = std::max(composed.peak_retained, st.peak_retained);
     composed.first_backward_forwards[static_cast<std::size_t>(stage)] =
         std::max(st.first_backward_forwards, 0);

@@ -96,7 +96,6 @@ inline std::vector<CorpusEntry> ScheduleCorpus() {
     generator.backward_first = true;
     generator.child_count_backward_priority = true;
     generator.wgrad = sched::WgradPolicy::kDeferred;
-    generator.b_time = 1.0;
     generator.stage_time_scale = {0.9, 1.6, 1.0, 0.8};
     add("placed p=4 v=2 s=2 n=6",
         sched::GenerateCapped(problem, generator, "SVPP(v=2,s=2,f=9)+placed"));
