@@ -94,10 +94,11 @@ void ForEachDependency(const PipelineProblem& problem, const OpId& op,
 // The dense slot of an F, B or W op: kind planes kForward=0,
 // kBackward=1, kWeightGrad=2, each micros × slices × chunks. This is the
 // one index of every per-op arena (the engine's completion times, the
-// generator's readiness, the validators' flags, the synth composer's
-// completion times). Only in-range F/B/W identities may be
-// indexed — per-GEMM splits and DP buckets are never dependency targets —
-// and arenas are sized only from a validated problem.
+// validators' flags, and the readiness of the list-scheduling kernel
+// that GenerateCapped and the synth composer run). Only in-range F/B/W
+// identities may be indexed — per-GEMM splits and DP buckets are never
+// dependency targets — and arenas are sized only from a validated
+// problem.
 class OpIndex {
  public:
   explicit OpIndex(const PipelineProblem& problem)

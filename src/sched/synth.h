@@ -11,14 +11,16 @@
 // activation budget (retained chunk-forwards) with two cooperating
 // engines:
 //
-//   composer  — an event-driven, stage-local greedy over arbitrary v,
-//               both chunk placements, and fused or split backward that
-//               turns a concrete (warmup offsets, fill policy) assignment
-//               into a complete program order; handcrafted ZB-V
-//               (sched/zbv.h) is four of its runs. Later-visit forwards
-//               outrank earlier ones and each visit-k forward reserves
-//               v-k cap slots, so the backward chain can always be
-//               reached and the budget is respected by construction.
+//   composer  — a policy of the list-scheduling kernel
+//               (sched/list_scheduler.h) that GenerateCapped also runs:
+//               a stage-local greedy over arbitrary v, both chunk
+//               placements, and fused or split backward that turns a
+//               concrete (warmup offsets, fill policy) assignment into a
+//               complete program order; handcrafted ZB-V (sched/zbv.h)
+//               is four of its runs. Later-visit forwards outrank
+//               earlier ones and each visit-k forward reserves v-k cap
+//               slots, so the backward chain can always be reached and
+//               the budget is respected by construction.
 //   refiner   — a branch-and-bound over the warmup offsets, seeded by
 //               greedy incumbents, pruned by an admissible chunk-chain
 //               lower bound (for uniform-cost ZBV shapes the bound is
@@ -50,8 +52,8 @@ struct SynthOptions {
   double f_time = 1.0;
   double b_time = 1.0;
   double w_time = 1.0;
-  // Abstract inter-stage transfer delay (same role as
-  // GeneratorOptions::transfer_time).
+  // Abstract inter-stage transfer delay; the list-scheduling kernel's
+  // lookahead window is twice this (sched/list_scheduler.h).
   double transfer_time = 0.05;
   // Per-stage activation budget in retained chunk-forwards (a forward is
   // retained until the op that releases it: W when the problem splits

@@ -53,8 +53,8 @@ struct ZbvOptions {
   double f_time = 1.0;
   double b_time = 1.0;
   double w_time = 1.0;
-  // Abstract inter-stage transfer delay (same role as
-  // GeneratorOptions::transfer_time).
+  // Abstract inter-stage transfer delay; the list-scheduling kernel's
+  // lookahead window is twice this (sched/list_scheduler.h).
   double transfer_time = 0.05;
   // Per-stage cap on retained chunk-forwards; a forward is retained
   // until its weight gradient has run. 0 selects the construction's
