@@ -176,6 +176,29 @@ TEST(Synth, RejectsMalformedInputs) {
   EXPECT_THROW(SynthesizeSchedule(sliced), CheckError);
 }
 
+// The composer ranks candidates by (kind preference, visit) as a pair,
+// so no visit count reaches the kind preference: with v >= 1001 chunks
+// per stage, micro 1's first forward still runs right after micro 0's
+// first backward instead of behind all of micro 0's backwards.
+TEST(Synth, SecondMicroFollowsTheFirstBackwardAtAnyVisitCount) {
+  for (const int v : {1000, 1002}) {
+    for (const bool split : {false, true}) {
+      SCOPED_TRACE(testing::Message() << "v=" << v << " split=" << split);
+      SynthOptions options;
+      options.offset_radius = 0;
+      options.max_leaves = 1;
+      const Schedule schedule = SynthesizeSchedule(MakeProblem(1, v, 2, split), options);
+      const std::vector<OpId>& ops = schedule.stage_ops[0];
+      const auto second = std::find_if(ops.begin(), ops.end(), [](const OpId& op) {
+        return op.kind == OpKind::kForward && op.micro == 1 && op.chunk == 0;
+      });
+      ASSERT_NE(second, ops.end());
+      EXPECT_EQ(second - ops.begin(), v + 1);
+      EXPECT_EQ(ops[static_cast<std::size_t>(v)].kind, OpKind::kBackward);
+    }
+  }
+}
+
 // ---- seeded property fuzz ---------------------------------------------------
 // Every synthesized schedule over randomized shapes and budgets must
 // pass the full invariant battery, with its declared per-stage budget as
