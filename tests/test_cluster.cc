@@ -123,7 +123,7 @@ TEST(ClusterFuzz, InvariantsHoldAcrossSeededTraffic) {
 // ---- Differential single-job contract --------------------------------------
 
 // A one-job cluster on a single-tier carve must produce exactly the
-// plan, priced iteration time, and (job-tagged) schedule that calling
+// plan, priced iteration time, and (untagged) schedule that calling
 // SearchBestStrategy directly produces — bit-identical, not just close.
 TEST(ClusterDifferential, SingleTierJobMatchesSearchBestStrategy) {
   ClusterServiceOptions options = FastOptions(AllocationPolicy::kDynamic);
@@ -157,10 +157,9 @@ TEST(ClusterDifferential, SingleTierJobMatchesSearchBestStrategy) {
   EXPECT_EQ(job.plan.iteration_time, direct.best->iteration_time);  // bitwise
   EXPECT_EQ(job.plan.peak_memory, direct.best->peak_memory);
 
-  // The stored schedule is the direct winner's, tagged with the job id.
-  sched::Schedule tagged = direct.best->schedule;
-  sched::TagJob(tagged, id);
-  EXPECT_EQ(job.plan.schedule_text, sched::SerializeSchedule(tagged));
+  // The stored schedule is the direct winner's, untagged.
+  ASSERT_NE(job.plan.schedule_text, nullptr);
+  EXPECT_EQ(*job.plan.schedule_text, sched::SerializeSchedule(direct.best->schedule));
   service.Drain();
   EXPECT_EQ(service.Metrics().completed, 1);
 }
@@ -200,9 +199,8 @@ TEST(ClusterDifferential, CrossTierJobMatchesSearchBestFleetStrategy) {
   EXPECT_EQ(job.plan.peak_memory, direct.best->result.peak_memory);
   EXPECT_EQ(job.plan.usd_per_iteration, direct.best->dollars.usd_per_iteration);
 
-  sched::Schedule tagged = direct.best->result.schedule;
-  sched::TagJob(tagged, id);
-  EXPECT_EQ(job.plan.schedule_text, sched::SerializeSchedule(tagged));
+  ASSERT_NE(job.plan.schedule_text, nullptr);
+  EXPECT_EQ(*job.plan.schedule_text, sched::SerializeSchedule(direct.best->result.schedule));
 }
 
 // ---- Carve-fingerprint plan-memo regression --------------------------------
@@ -349,19 +347,25 @@ TEST(JobTag, SerializationRoundTripsAndUntaggedFormatIsUnchanged) {
   EXPECT_EQ(plain_parsed.job, 0);
 }
 
-TEST(JobTag, AdoptedPlansCarryTheJobId) {
+// Two jobs served by one memoized plan share its schedule text, stored
+// once and untagged; a multi-job timeline tags a copy with the job id.
+TEST(JobTag, MemoizedPlanSharesOneUntaggedScheduleText) {
   ClusterService service(SmallFleet(), FastOptions(AllocationPolicy::kDynamic));
   JobRequest request;
   request.config = model::Llama7B();
   request.global_batch = 8;
   request.min_nodes = 1;
   request.max_nodes = 1;
-  const int id = service.Submit(request);
-  const JobRecord& job = service.job(id);
-  ASSERT_TRUE(job.plan.feasible);
-  ASSERT_FALSE(job.plan.schedule_text.empty());
-  const sched::Schedule schedule = sched::ParseSchedule(job.plan.schedule_text);
-  EXPECT_EQ(schedule.job, id);
+  request.preferred_tier = 0;
+  const int a = service.Submit(request);
+  const int b = service.Submit(request);
+  const JobPlan& first = service.job(a).plan;
+  const JobPlan& second = service.job(b).plan;
+  ASSERT_TRUE(first.feasible);
+  ASSERT_TRUE(second.from_plan_cache);
+  ASSERT_NE(first.schedule_text, nullptr);
+  EXPECT_EQ(first.schedule_text, second.schedule_text);
+  EXPECT_EQ(sched::ParseSchedule(*first.schedule_text).job, 0);
 }
 
 // Multi-job Chrome-trace export: one process group per job, spans named
