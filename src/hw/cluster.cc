@@ -33,102 +33,92 @@ FabricView ViewOf(const DeviceTier& t) {
   return {t.nodes, t.gpus_per_node, &t.intra_node, &t.inter_node};
 }
 
-// Pipeline p2p link on one fabric. `host_stages` is how many consecutive
-// stages this fabric hosts (layout.pp when it hosts the whole pipeline).
-// The stage stride equals the per-stage rank group dp·cp·tp, which for a
-// full-cover layout is exactly world/pp — the legacy formula.
-LinkSpec PipelineLinkOn(const FabricView& v, const ParallelLayout& layout, int host_stages) {
-  if (layout.pp == 1) {
-    return Loopback();
-  }
-  const int stride = layout.dp * layout.cp * layout.tp;  // ranks between stages
-  if (stride >= v.gpus_per_node) {
-    // Every boundary crosses nodes; all per-node streams share the NIC.
-    return Shared(*v.inter, v.gpus_per_node);
-  }
-  // A node holds several stages. The worst (steady-state critical) boundary
-  // is still the inter-node one, shared by `stride` concurrent streams.
-  if (v.nodes > 1 && host_stages * stride > v.gpus_per_node) {
-    return Shared(*v.inter, stride);
-  }
-  return *v.intra;
-}
+// Which fabric one dimension's collective rides on a tier, and how many
+// concurrent streams share the NIC when that fabric is the inter-node
+// link. LinkOn prices a route; SharesOn classifies it.
+struct Route {
+  FabricClass fabric = FabricClass::kLoopback;
+  int streams = 1;
+};
 
-LinkSpec ContextLinkOn(const FabricView& v, const ParallelLayout& layout) {
-  if (layout.cp == 1) {
-    return Loopback();
+// `host_stages` is how many consecutive stages this fabric hosts
+// (layout.pp when it hosts the whole pipeline).
+Route RouteOn(const FabricView& v, Dim dim, const ParallelLayout& layout, int host_stages) {
+  constexpr Route kIntra{FabricClass::kIntraNode};
+  const auto inter = [](int streams) { return Route{FabricClass::kInterNode, streams}; };
+  switch (dim) {
+    case Dim::kPipeline: {
+      if (layout.pp == 1) {
+        return {};
+      }
+      // The stage stride equals the per-stage rank group dp·cp·tp, which
+      // for a full-cover layout is exactly world/pp.
+      const int stride = layout.dp * layout.cp * layout.tp;  // ranks between stages
+      if (stride >= v.gpus_per_node) {
+        // Every boundary crosses nodes; all per-node streams share the NIC.
+        return inter(v.gpus_per_node);
+      }
+      // A node holds several stages. The worst (steady-state critical)
+      // boundary is still the inter-node one, shared by `stride`
+      // concurrent streams.
+      if (v.nodes > 1 && host_stages * stride > v.gpus_per_node) {
+        return inter(stride);
+      }
+      return kIntra;
+    }
+    case Dim::kContext:
+      if (layout.cp == 1) {
+        return {};
+      }
+      // The cp·tp group spans contiguous innermost ranks.
+      return layout.cp * layout.tp <= v.gpus_per_node ? kIntra : inter(v.gpus_per_node);
+    case Dim::kData:
+      if (layout.dp * layout.cp == 1) {
+        return {};
+      }
+      // A ring over a contiguous multi-node block crosses each node's NIC
+      // once per direction; only the cp·tp rings interleaved within the
+      // same block contend for it (the intra-node hops ride the faster
+      // fabric).
+      return layout.dp * layout.cp * layout.tp <= v.gpus_per_node
+                 ? kIntra
+                 : inter(layout.cp * layout.tp);
+    case Dim::kTensor:
+      if (layout.tp == 1) {
+        return {};
+      }
+      return layout.tp <= v.gpus_per_node ? kIntra : inter(v.gpus_per_node);
   }
-  const int group_span = layout.cp * layout.tp;  // contiguous innermost ranks
-  if (group_span <= v.gpus_per_node) {
-    return *v.intra;
-  }
-  return Shared(*v.inter, v.gpus_per_node);
-}
-
-LinkSpec DataLinkOn(const FabricView& v, const ParallelLayout& layout) {
-  if (layout.dp * layout.cp == 1) {
-    return Loopback();
-  }
-  const int group_span = layout.dp * layout.cp * layout.tp;
-  if (group_span <= v.gpus_per_node) {
-    return *v.intra;
-  }
-  // A ring over a contiguous multi-node block crosses each node's NIC
-  // once per direction; only the cp·tp rings interleaved within the same
-  // block contend for it (the intra-node hops ride the faster fabric).
-  return Shared(*v.inter, layout.cp * layout.tp);
-}
-
-LinkSpec TensorLinkOn(const FabricView& v, const ParallelLayout& layout) {
-  if (layout.tp == 1) {
-    return Loopback();
-  }
-  if (layout.tp <= v.gpus_per_node) {
-    return *v.intra;
-  }
-  return Shared(*v.inter, v.gpus_per_node);
+  MEPIPE_CHECK(false) << "unknown Dim";
+  return {};
 }
 
 LinkSpec LinkOn(const FabricView& v, Dim dim, const ParallelLayout& layout, int host_stages) {
-  switch (dim) {
-    case Dim::kPipeline:
-      return PipelineLinkOn(v, layout, host_stages);
-    case Dim::kContext:
-      return ContextLinkOn(v, layout);
-    case Dim::kData:
-      return DataLinkOn(v, layout);
-    case Dim::kTensor:
-      return TensorLinkOn(v, layout);
+  const Route route = RouteOn(v, dim, layout, host_stages);
+  switch (route.fabric) {
+    case FabricClass::kLoopback:
+      return Loopback();
+    case FabricClass::kIntraNode:
+      return *v.intra;
+    default:
+      return Shared(*v.inter, route.streams);
   }
-  MEPIPE_CHECK(false) << "unknown Dim";
-  return Loopback();
 }
 
 FabricShareMap SharesOn(const FabricView& v, const ParallelLayout& layout, int host_stages) {
   FabricShareMap map;
   map.through_host_intra = v.intra->through_host;
-  if (layout.pp > 1) {
-    const int stride = layout.dp * layout.cp * layout.tp;
-    const bool pp_inter =
-        stride >= v.gpus_per_node || (v.nodes > 1 && host_stages * stride > v.gpus_per_node);
-    map.fabric[static_cast<int>(Dim::kPipeline)] =
-        pp_inter ? FabricClass::kInterNode : FabricClass::kIntraNode;
-  }
-  if (layout.cp > 1) {
-    map.fabric[static_cast<int>(Dim::kContext)] = layout.cp * layout.tp <= v.gpus_per_node
-                                                      ? FabricClass::kIntraNode
-                                                      : FabricClass::kInterNode;
-  }
-  if (layout.dp * layout.cp > 1) {
-    map.fabric[static_cast<int>(Dim::kData)] =
-        layout.dp * layout.cp * layout.tp > v.gpus_per_node ? FabricClass::kInterNode
-                                                            : FabricClass::kIntraNode;
-  }
-  if (layout.tp > 1) {
-    map.fabric[static_cast<int>(Dim::kTensor)] =
-        layout.tp <= v.gpus_per_node ? FabricClass::kIntraNode : FabricClass::kInterNode;
+  for (const Dim dim : {Dim::kPipeline, Dim::kContext, Dim::kData, Dim::kTensor}) {
+    map.fabric[static_cast<int>(dim)] = RouteOn(v, dim, layout, host_stages).fabric;
   }
   return map;
+}
+
+// Stages tier `t` could host back to back; caps the NIC-contention
+// condition when a tier holds only part of the pipeline.
+int HostStages(const DeviceTier& t, const ParallelLayout& layout) {
+  const int stride = layout.dp * layout.cp * layout.tp;
+  return std::max(1, std::min(layout.pp, t.world_size() / std::max(1, stride)));
 }
 
 // Worse = slower for a representative 1 MiB message; ties break toward
@@ -309,12 +299,7 @@ double ClusterTopology::TierSlowdown(int i) const {
 
 LinkSpec ClusterTopology::LinkForOnTier(Dim dim, const ParallelLayout& layout, int t) const {
   const DeviceTier& tr = tier(t);
-  const int stride = layout.dp * layout.cp * layout.tp;
-  // Stages this tier could host back to back; caps the NIC-contention
-  // condition when a tier holds only part of the pipeline.
-  const int host_stages =
-      std::max(1, std::min(layout.pp, tr.world_size() / std::max(1, stride)));
-  return LinkOn(ViewOf(tr), dim, layout, host_stages);
+  return LinkOn(ViewOf(tr), dim, layout, HostStages(tr, layout));
 }
 
 LinkSpec ClusterTopology::LinkFor(Dim dim, const ParallelLayout& layout) const {
@@ -362,10 +347,7 @@ FabricShareMap ClusterTopology::FabricShares(const ParallelLayout& layout) const
   FabricShareMap merged;
   for (int t = 0; t < num_tiers(); ++t) {
     const DeviceTier& tr = tier(t);
-    const int stride = layout.dp * layout.cp * layout.tp;
-    const int host_stages =
-        std::max(1, std::min(layout.pp, tr.world_size() / std::max(1, stride)));
-    const FabricShareMap map = SharesOn(ViewOf(tr), layout, host_stages);
+    const FabricShareMap map = SharesOn(ViewOf(tr), layout, HostStages(tr, layout));
     for (int d = 0; d < 4; ++d) {
       merged.fabric[d] = std::max(merged.fabric[d], map.fabric[d]);
     }
