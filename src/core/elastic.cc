@@ -23,6 +23,9 @@ namespace {
 constexpr std::uint64_t kStragglerStream = 0x5851f42d4c957f2dULL;
 constexpr std::uint64_t kNoiseStream = 0x14057b7ef767814fULL;
 
+// Cap on the event spans kept in ElasticMetrics::events.
+constexpr std::size_t kMaxEvents = 4096;
+
 // Lower-median normalization: anchors per-stage factors on the majority
 // so a uniform fleet-wide dilation never reads as a straggler profile.
 void NormalizeByMedian(std::vector<double>& values) {
@@ -76,7 +79,6 @@ void ElasticOptions::Validate() const {
   check_len(clean_stage_busy.size(), "clean_stage_busy", stages);
   check_len(straggled_stage_busy.size(), "straggled_stage_busy", stages);
   check_len(mitigated_stage_busy.size(), "mitigated_stage_busy", stages);
-  check_len(mitigated_clean_stage_busy.size(), "mitigated_clean_stage_busy", stages);
   for (const Seconds t : iteration_time_by_survivors) {
     MEPIPE_CHECK_GE(t, 0.0);
   }
@@ -88,12 +90,8 @@ void ElasticOptions::Validate() const {
   }
   MEPIPE_CHECK_GE(straggled_iteration_time, 0.0);
   MEPIPE_CHECK_GE(mitigated_iteration_time, 0.0);
-  MEPIPE_CHECK_GE(mitigated_clean_iteration_time, 0.0);
   for (const int spp : shape_slice_candidates) {
     MEPIPE_CHECK_GE(spp, 1) << "shape_slice_candidates entries must be >= 1";
-  }
-  for (const int vp : shape_vp_candidates) {
-    MEPIPE_CHECK_GE(vp, 1) << "shape_vp_candidates entries must be >= 1";
   }
 }
 
@@ -151,7 +149,7 @@ ElasticMetrics SimulateElasticRun(Seconds iteration_time, const ElasticOptions& 
   // ---- helpers ------------------------------------------------------------
   const auto record_event = [&](sim::FaultKind kind, int stage, Seconds begin, Seconds end,
                                 std::string label) {
-    if (m.events.size() < opt.max_events) {
+    if (m.events.size() < kMaxEvents) {
       m.events.push_back({kind, stage, -1, -1, begin, end, std::move(label)});
     }
   };
@@ -261,14 +259,14 @@ ElasticMetrics SimulateElasticRun(Seconds iteration_time, const ElasticOptions& 
   // Iteration-time factor of the plan currently executing relative to
   // the clean even plan: engine-measured canonical states when the
   // pricing overrides are set, the analytic unit bottleneck otherwise.
+  // The re-planned units after the straggler is gone are never measured.
   const auto plan_factor = [&]() -> double {
     const bool even = units == even_units;
     Seconds canonical = 0;
     if (even) {
       canonical = straggler_active ? opt.straggled_iteration_time : iteration_time;
-    } else {
-      canonical = straggler_active ? opt.mitigated_iteration_time
-                                   : opt.mitigated_clean_iteration_time;
+    } else if (straggler_active) {
+      canonical = opt.mitigated_iteration_time;
     }
     if (canonical > 0) {
       return canonical / iteration_time;
@@ -299,9 +297,12 @@ ElasticMetrics SimulateElasticRun(Seconds iteration_time, const ElasticOptions& 
     // The estimator baseline expects what the plan assumed: the even
     // plan assumed no straggler, the mitigated plan assumed one.
     const bool strag = expected ? !even : straggler_active;
+    if (!even && !strag) {
+      return nullptr;  // re-planned units, straggler gone: never measured
+    }
     const std::vector<Seconds>& canon =
         even ? (strag ? opt.straggled_stage_busy : opt.clean_stage_busy)
-             : (strag ? opt.mitigated_stage_busy : opt.mitigated_clean_stage_busy);
+             : opt.mitigated_stage_busy;
     return canon.empty() ? nullptr : &canon;
   };
   const auto expected_busy = [&]() {
@@ -582,37 +583,21 @@ std::vector<Seconds> StageBusyOf(const sim::SimResult& sim) {
 }
 
 // Partitioning variants a degraded shape may re-plan to: the base
-// strategy first (ties keep it), then SPP re-splits (slice methods
-// only) crossed with VP re-splits. CP/TP/PP never vary — they would
-// change the replica's GPU footprint, and "survivors" counts replicas
-// of the original footprint.
+// strategy first (ties keep it), then each distinct SPP re-split (slice
+// methods only). CP/TP/PP never vary — they would change the replica's
+// GPU footprint, and "survivors" counts replicas of the original
+// footprint.
 std::vector<Strategy> ShapeVariants(const Strategy& base, const ElasticOptions& options) {
   std::vector<Strategy> variants{base};
-  if (!options.surrogate_shape_search) {
+  if (!options.surrogate_shape_search || !MethodUsesSlices(base.method)) {
     return variants;
   }
-  std::vector<int> spps{base.spp};
-  if (MethodUsesSlices(base.method)) {
-    for (const int spp : options.shape_slice_candidates) {
-      if (std::find(spps.begin(), spps.end(), spp) == spps.end()) {
-        spps.push_back(spp);
-      }
-    }
-  }
-  std::vector<int> vps{base.vp};
-  for (const int vp : options.shape_vp_candidates) {
-    if (std::find(vps.begin(), vps.end(), vp) == vps.end()) {
-      vps.push_back(vp);
-    }
-  }
-  for (const int spp : spps) {
-    for (const int vp : vps) {
-      if (spp == base.spp && vp == base.vp) {
-        continue;
-      }
+  for (const int spp : options.shape_slice_candidates) {
+    const bool seen = std::any_of(variants.begin(), variants.end(),
+                                  [&](const Strategy& v) { return v.spp == spp; });
+    if (!seen) {
       Strategy variant = base;
       variant.spp = spp;
-      variant.vp = vp;
       variants.push_back(variant);
     }
   }
@@ -712,7 +697,7 @@ ElasticPricing PriceElasticShapes(const model::TransformerConfig& config,
     shape.surrogate_variants =
         variants.size() > 1 ? static_cast<int>(variants.size()) : 0;
     IterationResult result = SimulateIteration(config, chosen, shrunk, batch_s, iter);
-    if (!result.feasible && (chosen.spp != degraded.spp || chosen.vp != degraded.vp)) {
+    if (!result.feasible && chosen.spp != degraded.spp) {
       // The surrogate's pick must never cost feasibility: fall back to
       // the base partitioning when the exact engine rejects it.
       chosen = degraded;

@@ -124,33 +124,28 @@ struct ElasticOptions {
   // Canonical plan-state iteration times on the full fleet (0 = analytic).
   Seconds straggled_iteration_time = 0;        // even units, straggler active
   Seconds mitigated_iteration_time = 0;        // re-planned units, straggler active
-  Seconds mitigated_clean_iteration_time = 0;  // re-planned units, straggler gone
   // Canonical per-stage busy vectors for the detector (empty = analytic).
+  // Re-planned units after the straggler is gone always run analytic.
   std::vector<Seconds> clean_stage_busy;
   std::vector<Seconds> straggled_stage_busy;
   std::vector<Seconds> mitigated_stage_busy;
-  std::vector<Seconds> mitigated_clean_stage_busy;
 
   // ---- Surrogate shape triage (core/surrogate) ---------------------------
   // Off (the default): every surviving-fleet shape keeps the full-fleet
   // strategy's partitioning verbatim — bit-identical to the pre-surrogate
   // behavior. On: for each shape, PriceElasticShapes first prices
-  // partitioning variants of the strategy (SPP splits for slice methods,
-  // VP splits where the method admits them — never CP/TP/PP, which would
-  // change the replica's GPU footprint) with the analytic surrogate, and
-  // runs the exact discrete-event engine only on the variant the
-  // surrogate picked. A degraded fleet often prefers a different
-  // slice/chunk split than the full fleet (more micro-batches per
-  // replica), and the triage makes that search affordable inside a live
-  // re-plan. Ties and the all-infeasible fallback keep the base strategy.
+  // partitioning variants of the strategy (SPP splits for slice methods
+  // — never CP/TP/PP, which would change the replica's GPU footprint)
+  // with the analytic surrogate, and runs the exact discrete-event engine
+  // only on the variant the surrogate picked. A degraded fleet often
+  // prefers a different slice split than the full fleet (more
+  // micro-batches per replica), and the triage makes that search
+  // affordable inside a live re-plan. Ties and the all-infeasible
+  // fallback keep the base strategy.
   bool surrogate_shape_search = false;
   std::vector<int> shape_slice_candidates;  // SPP variants; empty = base only
-  std::vector<int> shape_vp_candidates;     // VP variants; empty = base only
   // Optional cross-run pricing cache (not owned; thread-safe).
   SurrogateCache* surrogate_cache = nullptr;
-
-  // Cap on the event spans kept in ElasticMetrics::events.
-  std::size_t max_events = 4096;
 
   // Throws CheckError on malformed options (run.Validate(), negative
   // stalls/repair, straggler slowdown < 1 or stage out of range,
@@ -186,8 +181,8 @@ struct ElasticMetrics {
   // 0 = that shape was never visited).
   std::vector<Seconds> checkpoint_interval_by_survivors;
   // Elastic event spans on the run's wall clock (failures, repair
-  // windows, reshard barriers, re-plans, straggler windows), capped at
-  // ElasticOptions::max_events; feed to the trace-layer span overloads.
+  // windows, reshard barriers, re-plans, straggler windows), the first
+  // 4096 of them; feed to the trace-layer span overloads.
   std::vector<sim::FaultSpan> events;
 };
 
@@ -223,7 +218,6 @@ struct ElasticPricing {
   // mitigation path was not priced).
   Seconds straggled_iteration_time = 0;
   Seconds mitigated_iteration_time = 0;
-  Seconds mitigated_clean_iteration_time = 0;
   bool mitigation_adopted = false;
   // Re-planned / re-sharded schedules that passed CheckScheduleInvariants
   // under their fleet shape's activation budget.

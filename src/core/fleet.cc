@@ -371,7 +371,7 @@ IterationResult Assemble(const model::TransformerConfig& config, const PlacedStr
     result.dp.exposed = result.dp.serialized;
   }
   result.dp_sync_time = result.dp.exposed;
-  result.iteration_time = measured.makespan + result.dp_sync_time + options.optimizer_step;
+  result.iteration_time = measured.makespan + result.dp_sync_time + kOptimizerStep;
   result.bubble_ratio = measured.bubble_ratio;
   result.peak_activation = measured.peak_activation;
   result.checkpoint_shard = costs.CheckpointShardBytes();

@@ -186,7 +186,6 @@ CandidateBuild BuildCandidate(const model::TransformerConfig& config,
       svpp.slices = strategy.spp;
       svpp.micros = micros;
       svpp.split_backward = true;
-      svpp.reschedule_backwards = options.svpp_reschedule;
       if (options.svpp_inflight > 0) {
         svpp.max_inflight = options.svpp_inflight;
       } else {
@@ -211,8 +210,6 @@ CandidateBuild BuildCandidate(const model::TransformerConfig& config,
       synth.b_time = costs.ComputeTime({sched::OpKind::kBackward, 0, 0, 0});
       synth.w_time = costs.ComputeTime({sched::OpKind::kWeightGrad, 0, 0, 0});
       synth.transfer_time = costs.TransferTime({sched::OpKind::kForward, 0, 0, 0});
-      synth.offset_radius = options.synth_offset_radius;
-      synth.max_leaves = options.synth_max_leaves;
       if (per_forward > 0) {
         // A synth retained unit spans F→W: it holds the forward's
         // activation throughout and additionally the act-grad between B

@@ -34,22 +34,15 @@ bool MethodUsesSlices(Method method);
 // shape here, so their chunk→stage mappings cannot disagree.
 sched::PipelineProblem ProblemFor(const Strategy& strategy, int micros);
 
+// Host-side optimizer step, paid once per iteration after the flush.
+inline constexpr Seconds kOptimizerStep = Milliseconds(15);
+
 struct IterationOptions {
   TrainingCostOptions cost;
   // Fill policy for deferred weight gradients (MEPipe default: per-GEMM).
   sim::WgradMode wgrad_mode = sim::WgradMode::kFillGemms;
   // SVPP memory variant; 0 = automatic via the §4.5 memory model.
   int svpp_inflight = 0;
-  // Method::kSynth refinement effort (sched/synth.h): warmup-offset
-  // search radius around the composed incumbent and the leaf budget of
-  // the branch-and-bound. Both are pricing-relevant — the surrogate
-  // fingerprints them.
-  int synth_offset_radius = 2;
-  int synth_max_leaves = 256;
-  // Disable the §4.3 backward rescheduling pass (ablation).
-  bool svpp_reschedule = true;
-  // Host-side optimizer step once per iteration.
-  Seconds optimizer_step = Milliseconds(15);
   // Record the (potentially large) per-op timeline and keep it in the
   // result. Off, the engine records no span at all
   // (sim::EngineOptions::record_timeline), and the planner keeps its

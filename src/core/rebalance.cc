@@ -439,9 +439,7 @@ RebalancePlan Rebalance(const StageProfile& profile, const sched::PipelineProble
     }
     MEPIPE_CHECK_EQ(cursor, options.seq_len) << "base_spans do not cover [0, seq_len)";
     plan.new_spans = model::AlignSlices(
-        model::TimeBalancedSlices(options.config, options.seq_len, problem.slices,
-                                  options.slice_time),
-        alignment);
+        model::BalancedSlices(options.config, options.seq_len, problem.slices), alignment);
   }
 
   // Axis 3 — caps. A stage's per-forward activation footprint scales

@@ -10,9 +10,9 @@
 //      that units_i · slowdown_i is equalized (a bottleneck-minimizing
 //      partitioner generalizing the balanced split core/training_cost
 //      assumes).
-//   2. Speed-weighted slice re-balancing: re-solve the TeraPipe-style
-//      sample partition under a weighted time functional
-//      (model::TimeBalancedSlices) instead of raw FLOPs.
+//   2. Slice re-balancing: re-solve the TeraPipe-style FLOPs-balanced
+//      sample partition (model::BalancedSlices) for spans that drifted
+//      from it.
 //   3. Cap re-tuning: shrink/grow the per-stage in-flight caps with the
 //      stage's new layer share so memory stays within the old envelope,
 //      and regenerate the program order with per-stage abstract time
@@ -198,11 +198,10 @@ struct RebalanceOptions {
   model::TransformerConfig config;
   std::int64_t seq_len = 0;
   std::int64_t slice_alignment = 1;
-  // Weighted objective for the re-solve; the default model reproduces
-  // the FLOPs-balanced partition (no-op unless base_spans differ).
-  model::SliceTimeModel slice_time;
   // The spans the unmitigated cost model prices (empty = FLOPs-balanced
-  // spans of (config, seq_len), aligned to slice_alignment).
+  // spans of (config, seq_len), aligned to slice_alignment). The re-solve
+  // targets those FLOPs-balanced spans, so axis 2 is a no-op unless
+  // base_spans differ from them.
   std::vector<model::SliceSpan> base_spans;
 
   // Cap re-tuning: the unmitigated per-stage in-flight caps (empty

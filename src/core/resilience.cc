@@ -7,6 +7,12 @@
 #include "common/rng.h"
 
 namespace mepipe::core {
+namespace {
+
+// Cap on the per-failure records kept in ResilienceMetrics::failures.
+constexpr std::size_t kMaxFailureRecords = 1024;
+
+}  // namespace
 
 void ResilienceOptions::Validate() const {
   MEPIPE_CHECK_GT(gpus, 0);
@@ -60,7 +66,7 @@ ResilienceMetrics SimulateTrainingRun(Seconds iteration_time,
   const double expected_failures = target / mtbf + 10.0;
 
   const auto record_failure = [&](Seconds lost) {
-    if (m.failures.size() < options.max_failure_records) {
+    if (m.failures.size() < kMaxFailureRecords) {
       const auto iteration = static_cast<std::int64_t>(useful / iteration_time);
       m.failures.push_back({wall, lost, rel.recovery_time, iteration,
                             useful - static_cast<Seconds>(iteration) * iteration_time});

@@ -38,9 +38,6 @@ struct ResilienceOptions {
   Seconds target_useful_time = 0;
   std::int64_t iterations = 10000;
   std::uint64_t seed = 1;
-  // Cap on the per-failure records kept in ResilienceMetrics::failures
-  // (counters are always exact).
-  std::size_t max_failure_records = 1024;
   // How far a fail-stop rolls the run back. kFullPipeline restores the
   // last durable checkpoint for everyone. kDpReplicaLocal restores the
   // lost replica from a surviving peer at the last completed iteration
@@ -93,7 +90,8 @@ struct ResilienceMetrics {
   double goodput = 0;              // useful_time / wall_time
   // 1 - goodput: the measured analogue of FailureOverheadFraction.
   double overhead_fraction = 0;
-  std::vector<FailureRecord> failures;  // first max_failure_records events
+  // The first 1024 events; the counters above are always exact.
+  std::vector<FailureRecord> failures;
 };
 
 // Simulates a training run whose clean iteration takes `iteration_time`

@@ -69,28 +69,14 @@ std::uint64_t CostModelFingerprint(const model::TransformerConfig& config,
   digest.Mix(cluster.gpu.matmul_derate);
   MixLink(digest, cluster.intra_node);
   MixLink(digest, cluster.inter_node);
-  // TrainingCostOptions. The efficiency curve's parameters are private;
-  // probe it behaviorally at points that pin both the half-saturation
-  // constant and its hidden-width scaling.
-  digest.Mix(options.cost.op_overhead);
+  // TrainingCostOptions.
   digest.Mix(options.cost.balanced_slices);
   digest.Mix(options.cost.slice_alignment);
-  digest.Mix(options.cost.memory.bytes_per_param);
-  digest.Mix(options.cost.memory.bytes_per_grad);
-  digest.Mix(options.cost.memory.optimizer_bytes_per_param);
-  digest.Mix(options.cost.memory.fixed_workspace);
-  digest.Mix(options.cost.efficiency.ShapeEfficiency(5120, 64));
-  digest.Mix(options.cost.efficiency.ShapeEfficiency(5120, 4096));
-  digest.Mix(options.cost.efficiency.ShapeEfficiency(1024, 384));
   // Pricing-relevant iteration knobs (faults/noise/rebalance excluded —
   // the surrogate prices the clean run).
   digest.Mix(static_cast<int>(options.wgrad_mode));
   digest.Mix(options.svpp_inflight);
-  digest.Mix(options.svpp_reschedule);
-  digest.Mix(options.optimizer_step);
   digest.Mix(options.dp_overlap);
-  digest.Mix(options.synth_offset_radius);
-  digest.Mix(options.synth_max_leaves);
   return digest.state;
 }
 
@@ -346,7 +332,7 @@ std::optional<Seconds> SurrogateLowerBound(const model::TransformerConfig& confi
     // Overlapped DP sync can hide in bubbles entirely, so only the
     // serialized sync adds to the bound.
     const Seconds dp_sync = options.dp_overlap ? 0.0 : costs.DpSyncTime();
-    return bound + dp_sync + options.optimizer_step;
+    return bound + dp_sync + kOptimizerStep;
   } catch (const CheckError&) {
     return std::nullopt;  // let the full evaluation explain why
   }

@@ -50,10 +50,12 @@ using sim::TableOptions;
 
 // Deterministic 64-bit digest of everything that determines a surrogate
 // price besides the strategy shape: the model architecture, the cluster
-// (GPU + links), TrainingCostOptions (efficiency curve probed
-// behaviorally), and the pricing-relevant IterationOptions (wgrad mode,
-// SVPP variant knobs, optimizer step, DP overlap). Fault plans and noise
-// are deliberately excluded — the surrogate prices the clean run.
+// (GPU + links), TrainingCostOptions (slice balancing), and the
+// pricing-relevant IterationOptions (wgrad mode, SVPP variant, DP
+// overlap). The cost model's fixed quantities (byte widths, workspace,
+// op overhead, efficiency curve, optimizer step) are constants and need
+// no digest. Fault plans and noise are deliberately excluded — the
+// surrogate prices the clean run.
 std::uint64_t CostModelFingerprint(const model::TransformerConfig& config,
                                    const hw::ClusterSpec& cluster,
                                    const IterationOptions& options);

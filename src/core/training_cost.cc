@@ -11,6 +11,9 @@ namespace {
 
 double D(std::int64_t x) { return static_cast<double>(x); }
 
+// Fixed per-op host/launch overhead (framework dispatch, NCCL enqueue).
+constexpr Seconds kOpOverhead = Microseconds(60);
+
 }  // namespace
 
 std::string Strategy::ToString() const {
@@ -89,6 +92,7 @@ TrainingCostModel::TrainingCostModel(const model::TransformerConfig& config,
 
   // --- per (chunk, slice) durations ---------------------------------------
   const double tp = D(strategy_.tp);
+  const hw::EfficiencyModel efficiency;
   const auto kernel_time = [&](Flops flops, std::int64_t tokens) -> Seconds {
     if (flops <= 0) {
       return 0.0;
@@ -98,8 +102,8 @@ TrainingCostModel::TrainingCostModel(const model::TransformerConfig& config,
     // for load balance (§7.3), so kernels see half the rows.
     const std::int64_t eff_tokens = strategy_.cp > 1 ? std::max<std::int64_t>(1, tokens / 2)
                                                      : tokens;
-    const double eff = options_.efficiency.ShapeEfficiency(hidden_eff, eff_tokens) *
-                       options_.efficiency.AlignmentEfficiency(eff_tokens);
+    const double eff = efficiency.ShapeEfficiency(hidden_eff, eff_tokens) *
+                       efficiency.AlignmentEfficiency(eff_tokens);
     return flops / (cluster_.gpu.sustained_matmul_flops() * eff);
   };
 
@@ -154,16 +158,16 @@ TrainingCostModel::TrainingCostModel(const model::TransformerConfig& config,
       const Seconds tp_comm =
           layers * comm_.TpAllReducePerLayer(config_, tokens, strategy_.layout());
 
-      Seconds f_time = kernel_time(f_flops, tokens) + cp_comm + tp_comm + options_.op_overhead;
+      Seconds f_time = kernel_time(f_flops, tokens) + cp_comm + tp_comm + kOpOverhead;
       Seconds b_time =
-          kernel_time(b_flops, tokens) + cp_comm_backward + tp_comm + options_.op_overhead;
+          kernel_time(b_flops, tokens) + cp_comm_backward + tp_comm + kOpOverhead;
       if (strategy_.recompute) {
         b_time += kernel_time(f_flops, tokens) + cp_comm + tp_comm;
       }
       if (!problem_.split_backward) {
         b_time += kernel_time(w_flops, tokens);
       }
-      const Seconds w_time = kernel_time(w_flops, tokens) + options_.op_overhead;
+      const Seconds w_time = kernel_time(w_flops, tokens) + kOpOverhead;
 
       f_row.push_back(f_time);
       b_row.push_back(b_time);
@@ -175,12 +179,12 @@ TrainingCostModel::TrainingCostModel(const model::TransformerConfig& config,
       const std::vector<Flops> layer_gemms = model::WeightGradGemms(config_, tokens);
       for (int l = 0; l < shape.transformer_layers; ++l) {
         for (const Flops flops : layer_gemms) {
-          gemms.push_back(kernel_time(flops / tp, tokens) + options_.op_overhead / 8.0);
+          gemms.push_back(kernel_time(flops / tp, tokens) + kOpOverhead / 8.0);
         }
       }
       if (shape.has_head) {
         gemms.push_back(kernel_time(model::WeightGradHeadFlops(config_, tokens) / tp, tokens) +
-                        options_.op_overhead / 8.0);
+                        kOpOverhead / 8.0);
       }
       if (gemms.empty()) {
         gemms.push_back(w_time);  // embedding-only chunk: a single tiny task
@@ -202,7 +206,7 @@ TrainingCostModel::TrainingCostModel(const model::TransformerConfig& config,
     if (shape.has_head) {
       params += config_.head_params();
     }
-    const Bytes bytes = params * options_.memory.bytes_per_param / strategy_.tp;
+    const Bytes bytes = params * model::kBytesPerParam / strategy_.tp;
     param_bytes_per_chunk_[static_cast<std::size_t>(g)] = bytes;
     param_bytes_per_stage_[static_cast<std::size_t>(problem_.stage_of_chunk(g))] += bytes;
   }
@@ -272,13 +276,13 @@ int TrainingCostModel::WeightGradGemmCount(const sched::OpId& wgrad) const {
 Bytes TrainingCostModel::StaticMemory(int stage) const {
   const Bytes params = param_bytes_per_stage_[static_cast<std::size_t>(stage)];
   // bf16 params + bf16 grads + sharded mixed-precision optimizer (§7.4).
-  const Bytes grads = params * options_.memory.bytes_per_grad / options_.memory.bytes_per_param;
-  const std::int64_t param_count = params / options_.memory.bytes_per_param;
+  const Bytes grads = params * model::kBytesPerGrad / model::kBytesPerParam;
+  const std::int64_t param_count = params / model::kBytesPerParam;
   // ZeRO-1 shards the optimizer over Megatron's distributed-optimizer
   // group: all dp·cp ranks holding identical parameters (§7.2).
-  const Bytes optimizer = param_count * options_.memory.optimizer_bytes_per_param /
+  const Bytes optimizer = param_count * model::kOptimizerBytesPerParam /
                           (strategy_.dp * strategy_.cp);
-  Bytes temporary = options_.memory.fixed_workspace;
+  Bytes temporary = model::kFixedWorkspace;
   const int head_stage = problem_.stage_of_chunk(problem_.num_chunks() - 1);
   if (stage == head_stage) {
     std::int64_t max_tokens = 0;
@@ -301,8 +305,8 @@ Bytes TrainingCostModel::MaxStaticMemory() const {
 Bytes TrainingCostModel::CheckpointShardBytes() const {
   Bytes worst = 0;
   for (const Bytes params : param_bytes_per_stage_) {
-    const std::int64_t param_count = params / options_.memory.bytes_per_param;
-    const Bytes optimizer_shard = param_count * options_.memory.optimizer_bytes_per_param /
+    const std::int64_t param_count = params / model::kBytesPerParam;
+    const Bytes optimizer_shard = param_count * model::kOptimizerBytesPerParam /
                                   (strategy_.dp * strategy_.cp);
     // The dp-rank-0 writer of the biggest stage pays params + its shard.
     worst = std::max(worst, params + optimizer_shard);
@@ -313,8 +317,8 @@ Bytes TrainingCostModel::CheckpointShardBytes() const {
 Bytes TrainingCostModel::CheckpointStateBytes() const {
   Bytes total = 0;
   for (const Bytes params : param_bytes_per_stage_) {
-    const std::int64_t param_count = params / options_.memory.bytes_per_param;
-    total += params + param_count * options_.memory.optimizer_bytes_per_param;
+    const std::int64_t param_count = params / model::kBytesPerParam;
+    total += params + param_count * model::kOptimizerBytesPerParam;
   }
   return total;
 }

@@ -37,11 +37,9 @@ struct Strategy {
   std::string ToString() const;
 };
 
+// Durations follow hw::EfficiencyModel's calibrated curve plus a fixed
+// per-op launch overhead; memory follows model/memory.h's byte widths.
 struct TrainingCostOptions {
-  hw::EfficiencyModel efficiency;
-  // Fixed per-op host/launch overhead (framework dispatch, NCCL enqueue).
-  Seconds op_overhead = Microseconds(60);
-  model::MemoryModelOptions memory;
   // Slice samples non-uniformly so per-slice forward cost is balanced
   // (TeraPipe's DP partitioning, §5) instead of uniformly. Pays kernel
   // shape efficiency on the odd-sized slices; wins at very long context.

@@ -8,7 +8,7 @@ double EfficiencyModel::ShapeEfficiency(std::int64_t hidden, std::int64_t tokens
   MEPIPE_CHECK_GT(hidden, 0);
   MEPIPE_CHECK_GT(tokens, 0);
   const double t_half =
-      reference_t_half_ * static_cast<double>(reference_hidden_) / static_cast<double>(hidden);
+      kReferenceTHalf * static_cast<double>(kReferenceHidden) / static_cast<double>(hidden);
   const double t = static_cast<double>(tokens);
   return t / (t + t_half);
 }

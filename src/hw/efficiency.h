@@ -21,11 +21,6 @@ namespace mepipe::hw {
 
 class EfficiencyModel {
  public:
-  EfficiencyModel() = default;
-  // `reference_t_half` is t_half for a hidden width of `reference_hidden`.
-  EfficiencyModel(double reference_t_half, std::int64_t reference_hidden)
-      : reference_t_half_(reference_t_half), reference_hidden_(reference_hidden) {}
-
   // Relative kernel efficiency (0, 1] for matmul-class work on a slice of
   // `tokens` rows in a model of width `hidden`.
   double ShapeEfficiency(std::int64_t hidden, std::int64_t tokens) const;
@@ -43,8 +38,10 @@ class EfficiencyModel {
                      std::int64_t tokens) const;
 
  private:
-  double reference_t_half_ = 75.0;      // calibrated to Figure 9 (13B, L=4096)
-  std::int64_t reference_hidden_ = 5120;
+  // t_half at a hidden width of kReferenceHidden, calibrated to Figure 9
+  // (13B, L=4096).
+  static constexpr double kReferenceTHalf = 75.0;
+  static constexpr std::int64_t kReferenceHidden = 5120;
 };
 
 }  // namespace mepipe::hw

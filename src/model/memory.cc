@@ -1,7 +1,5 @@
 #include "model/memory.h"
 
-#include "common/check.h"
-
 namespace mepipe::model {
 
 Bytes LayerActivationBytesPerToken(const TransformerConfig& config) {
@@ -44,27 +42,6 @@ Bytes SampleActivationBytes(const TransformerConfig& config) {
 Bytes LogitsTemporaryBytes(const TransformerConfig& config, std::int64_t tokens) {
   // fp32 logits plus fp32 softmax/grad buffer.
   return 2 * 4 * tokens * config.vocab;
-}
-
-StageMemory StaticStageMemory(const TransformerConfig& config, std::int64_t stage_layers,
-                              bool has_embedding, bool has_head, int dp,
-                              std::int64_t logits_tokens, const MemoryModelOptions& options) {
-  MEPIPE_CHECK_GE(stage_layers, 0);
-  MEPIPE_CHECK_GT(dp, 0);
-  std::int64_t params = stage_layers * config.params_per_layer();
-  if (has_embedding) {
-    params += config.embedding_params();
-  }
-  if (has_head) {
-    params += config.head_params();
-  }
-  StageMemory memory;
-  memory.parameters = params * options.bytes_per_param;
-  memory.gradients = params * options.bytes_per_grad;
-  memory.optimizer = params * options.optimizer_bytes_per_param / dp;
-  memory.temporary = options.fixed_workspace +
-                     (has_head ? LogitsTemporaryBytes(config, logits_tokens) : 0);
-  return memory;
 }
 
 }  // namespace mepipe::model

@@ -1,7 +1,9 @@
-// Memory cost model (§4.5): the three components the paper's variant
-// selector reasons about — static memory (parameters, gradients,
-// optimizer shards), temporary memory (loss/logits workspace), and
-// activation memory retained between forward and backward passes.
+// Memory cost model (§4.5): the byte accounting behind the three
+// components the paper's variant selector reasons about — static memory
+// (parameters, gradients, optimizer shards; core::TrainingCostModel::
+// StaticMemory sums them per stage), temporary memory (loss/logits
+// workspace), and activation memory retained between forward and
+// backward passes.
 //
 // All byte counts are for bf16/fp16 training with a Megatron-style
 // mixed-precision Adam optimizer sharded over the data-parallel group
@@ -16,15 +18,14 @@
 
 namespace mepipe::model {
 
-// Tunable byte-accounting knobs. Defaults reproduce the paper's own
-// measurements (e.g. §7.4: the mixed-precision optimizer occupies
-// 12 bytes/param sharded over all d·p workers ⇒ 6.375 GB for 34B on 64).
-struct MemoryModelOptions {
-  int bytes_per_param = 2;          // bf16 parameters
-  int bytes_per_grad = 2;           // bf16 gradient buffers
-  int optimizer_bytes_per_param = 12;  // fp32 master + Adam m, v (ZeRO-1 sharded)
-  Bytes fixed_workspace = static_cast<Bytes>(1) * kGiB;  // cuDNN/cuBLAS/NCCL workspaces
-};
+// Static-memory byte widths of the paper's setup, which
+// core::TrainingCostModel::StaticMemory prices each stage with (e.g. §7.4:
+// the mixed-precision optimizer occupies 12 bytes/param sharded over all
+// d·p workers ⇒ 6.375 GB for 34B on 64).
+inline constexpr int kBytesPerParam = 2;            // bf16 parameters
+inline constexpr int kBytesPerGrad = 2;             // bf16 gradient buffers
+inline constexpr int kOptimizerBytesPerParam = 12;  // fp32 master + Adam m, v (ZeRO-1 sharded)
+inline constexpr Bytes kFixedWorkspace = kGiB;      // cuDNN/cuBLAS/NCCL workspaces
 
 // --- Activation accounting -------------------------------------------------
 
@@ -48,23 +49,7 @@ Bytes LayerActGradBytesPerToken(const TransformerConfig& config);
 // of Table 3 (embedding/head contributions folded in).
 Bytes SampleActivationBytes(const TransformerConfig& config);
 
-// --- Static + temporary accounting -----------------------------------------
-
-struct StageMemory {
-  Bytes parameters = 0;
-  Bytes gradients = 0;
-  Bytes optimizer = 0;
-  Bytes temporary = 0;
-  Bytes total() const { return parameters + gradients + optimizer + temporary; }
-};
-
-// Static + temporary memory of one pipeline stage holding `stage_layers`
-// partition units (embedding and head included via flags), with the
-// optimizer sharded over `dp` workers.
-StageMemory StaticStageMemory(const TransformerConfig& config, std::int64_t stage_layers,
-                              bool has_embedding, bool has_head, int dp,
-                              std::int64_t logits_tokens,
-                              const MemoryModelOptions& options = {});
+// --- Temporary accounting --------------------------------------------------
 
 // Temporary bytes for materializing fp32 logits + softmax for `tokens`
 // tokens on the head stage. Slicing samples (SPP) shrinks this too.

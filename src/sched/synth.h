@@ -38,7 +38,6 @@
 #ifndef MEPIPE_SCHED_SYNTH_H_
 #define MEPIPE_SCHED_SYNTH_H_
 
-#include <string>
 #include <vector>
 
 #include "sched/schedule.h"
@@ -67,8 +66,6 @@ struct SynthOptions {
   // a valid schedule, so exhaustion degrades quality, never correctness).
   int offset_radius = 2;
   int max_leaves = 256;
-  // Schedule::method label; empty selects "Synth(v=..,cap=..)".
-  std::string method_name;
 };
 
 // Synthesis diagnostics (all filled by SynthesizeSchedule).
@@ -83,7 +80,8 @@ struct SynthReport {
 };
 
 // Synthesizes and validates a schedule for `problem` (slices must be 1;
-// the slice axis is SVPP's dimension, not the block family's). Throws
+// the slice axis is SVPP's dimension, not the block family's), labelled
+// "Synth(v=<v>,cap=<lowest>..<highest budget>)". Throws
 // CheckError for malformed inputs: non-positive durations, negative
 // transfer, a budget vector whose length is not `stages`, or a budget
 // entry below the v floor.

@@ -48,42 +48,6 @@ TEST(Memory, ActGradSmallerThanActivations) {
   EXPECT_GT(LayerActGradBytesPerToken(config), 0);
 }
 
-TEST(Memory, OptimizerShardingMatchesPaper34B) {
-  // §7.4: "the mixed precision optimizer in Megatron-LM occupies around
-  // 6.375 GB for each worker" — 34e9 params × 12 B over 64 workers.
-  const auto config = Llama34B();
-  const std::int64_t params_per_stage = config.total_params() / 16;  // pp=16
-  const StageMemory memory =
-      StaticStageMemory(config, config.partition_units() / 16, false, false, 4, 0);
-  // Optimizer bytes: 12 · params_stage / dp ⇒ 12 · total / (16·4).
-  const double expected_gib = 12.0 * static_cast<double>(config.total_params()) / 64.0 /
-                              static_cast<double>(kGiB);
-  EXPECT_NEAR(ToGiB(memory.optimizer), expected_gib, expected_gib * 0.15);
-  (void)params_per_stage;
-}
-
-TEST(Memory, ParamAndGradBytesMatchPaper34B) {
-  // §7.4: parameters + gradients ≈ 34·4/p GB per worker.
-  const auto config = Llama34B();
-  const int p = 16;
-  const StageMemory memory =
-      StaticStageMemory(config, config.partition_units() / p, false, false, 4, 0);
-  const double expected_gib =
-      4.0 * static_cast<double>(config.total_params()) / p / static_cast<double>(kGiB);
-  EXPECT_NEAR(ToGiB(memory.parameters + memory.gradients), expected_gib, expected_gib * 0.15);
-}
-
-TEST(Memory, HeadStagePaysLogitsTemporary) {
-  const auto config = Llama13B();
-  const StageMemory with_head =
-      StaticStageMemory(config, 4, false, true, 8, /*logits_tokens=*/4096);
-  const StageMemory without_head = StaticStageMemory(config, 4, false, false, 8, 4096);
-  EXPECT_GT(with_head.temporary, without_head.temporary);
-  // Slicing shrinks the logits buffer (an SPP side benefit).
-  const StageMemory sliced = StaticStageMemory(config, 4, false, true, 8, 512);
-  EXPECT_LT(sliced.temporary, with_head.temporary);
-}
-
 TEST(Memory, LogitsBytes) {
   const auto config = Llama13B();
   EXPECT_EQ(LogitsTemporaryBytes(config, 1024), 2LL * 4 * 1024 * 32000);

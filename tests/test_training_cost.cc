@@ -5,6 +5,7 @@
 
 #include "common/check.h"
 #include "hw/cluster.h"
+#include "model/memory.h"
 #include "model/transformer.h"
 
 namespace mepipe::core {
@@ -130,6 +131,53 @@ TEST(TrainingCost, StaticMemoryDropsWithPp) {
   TrainingCostModel a(fx.config, p8, fx.cluster, fx.Problem(p8));
   TrainingCostModel b(fx.config, p4, fx.cluster, fx.Problem(p4));
   EXPECT_LT(a.MaxStaticMemory(), b.MaxStaticMemory());
+}
+
+// §7.4's per-worker byte arithmetic for Llama-34B at pp=16, dp=4 on 64
+// RTX 4090s (P parameters; a middle stage holds about P/16).
+TEST(TrainingCost, OptimizerShardingMatchesPaper34B) {
+  // "The mixed precision optimizer in Megatron-LM occupies around 6.375
+  // GB for each worker" — 34e9 params × 12 B over 64 workers. With bf16
+  // parameters and gradients a middle stage's static memory, workspace
+  // aside, is 4·P/16 + 12·P/64 bytes.
+  Fixture fx;
+  fx.config = model::Llama34B();
+  const Strategy s = fx.Mepipe(16, 4, 1);
+  const TrainingCostModel costs(fx.config, s, fx.cluster, fx.Problem(s));
+  const double params = static_cast<double>(fx.config.total_params());
+  const double expected_gib =
+      (4.0 * params / 16.0 + 12.0 * params / 64.0) / static_cast<double>(kGiB);
+  EXPECT_NEAR(ToGiB(costs.StaticMemory(8) - model::kFixedWorkspace), expected_gib,
+              expected_gib * 0.15);
+}
+
+TEST(TrainingCost, ParamAndGradBytesMatchPaper34B) {
+  // Parameters + gradients ≈ 34·4/p GB per worker: bf16 parameters are
+  // 2·P/16 bytes on a middle stage, and the bf16 gradients as many.
+  Fixture fx;
+  fx.config = model::Llama34B();
+  const Strategy s = fx.Mepipe(16, 4, 1);
+  const TrainingCostModel costs(fx.config, s, fx.cluster, fx.Problem(s));
+  const double expected_gib =
+      2.0 * static_cast<double>(fx.config.total_params()) / 16.0 / static_cast<double>(kGiB);
+  EXPECT_NEAR(ToGiB(costs.StageParamBytes(8)), expected_gib, expected_gib * 0.15);
+}
+
+TEST(TrainingCost, HeadStagePaysLogitsTemporary) {
+  // Only the head stage materializes the fp32 logits of its longest
+  // slice, so slicing samples (an SPP side benefit) shrinks it there and
+  // nowhere else.
+  Fixture fx;
+  const Strategy whole = fx.Mepipe(8, 8, 1);
+  const Strategy sliced = fx.Mepipe(8, 8, 8);
+  const TrainingCostModel a(fx.config, whole, fx.cluster, fx.Problem(whole));
+  const TrainingCostModel b(fx.config, sliced, fx.cluster, fx.Problem(sliced));
+  const int head = 7;
+  EXPECT_EQ(a.StaticMemory(0), b.StaticMemory(0));
+  EXPECT_EQ(a.StaticMemory(head) - b.StaticMemory(head),
+            model::LogitsTemporaryBytes(fx.config, fx.config.seq_len) -
+                model::LogitsTemporaryBytes(fx.config, fx.config.seq_len / 8));
+  EXPECT_GT(a.StaticMemory(head), b.StaticMemory(head));
 }
 
 TEST(TrainingCost, DpSyncGrowsWithParamBytes) {
