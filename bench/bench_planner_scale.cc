@@ -1,16 +1,15 @@
-// Surrogate planner scaling (core/surrogate + the two-phase driver in
+// Surrogate planner fidelity (core/surrogate + the two-phase driver in
 // core/planner): how faithfully the analytic surrogate ranks the
-// strategy grid against the full discrete-event search, and how many
-// candidates per second the surrogate sweep prices.
+// strategy grid against the full discrete-event search.
 //
-// planner_scale.csv holds only the deterministic fidelity numbers —
-// per method × objective: top-1 agreement, top-5 recall, Spearman rank
-// correlation, worst relative score error, and whether the two-phase
-// search lands on the exhaustive winner. Throughput (candidates/sec,
-// cache-hit speedup) is machine-dependent and goes to stdout only, so
-// `ctest -L artifacts` can diff the CSV byte for byte.
+// planner_scale.csv holds deterministic numbers only — per method ×
+// objective: top-1 agreement, top-5 recall, Spearman rank correlation,
+// worst relative score error, and whether the two-phase search lands on
+// the exhaustive winner — so `ctest -L artifacts` can diff it byte for
+// byte. Planner throughput is perfbench's `sweep` workload
+// (`python3 perfbench/run.py --workload sweep`); the google-benchmark
+// cases below time single surrogate and DES prices.
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <vector>
@@ -187,56 +186,6 @@ void EmitPlannerScale() {
   bench::EmitTable("Surrogate vs DES ranking fidelity (Llama-13B, RTX 4090, GBS 64)",
                    "planner_scale", rows);
   std::printf("fidelity misses (top1/recall/two-phase): %d\n", fidelity_misses);
-
-  // ---- throughput: machine-dependent, stdout only -------------------------
-  // A wide grid across methods, model sizes, and batch sizes; every
-  // structurally enumerable candidate is priced by the surrogate.
-  core::SurrogateCache cache;
-  PlannerOptions sweep;
-  sweep.min_dp = 2;
-  sweep.pp_candidates = {2, 4, 5, 8, 10, 16, 20, 32};
-  sweep.slice_candidates = {1, 2, 4, 8, 16};
-  sweep.vp_candidates = {1, 2, 4, 5, 8};
-  sweep.tp_candidates = {1, 2, 4, 8};
-  sweep.iteration.keep_timeline = false;  // only counts are read
-  sweep.two_phase = true;
-  sweep.surrogate_top_k = 1;  // throughput: phase 1 is the workload
-  sweep.threads = 0;          // hardware concurrency
-  sweep.cache = &cache;
-  const std::vector<Method> all_methods = {
-      Method::kGPipe, Method::kDapple, Method::kVpp,  Method::kHanayo, Method::kTeraPipe,
-      Method::kZb1p,  Method::kZbv,    Method::kSvpp, Method::kZbvCapped};
-  const auto run_sweep = [&]() {
-    long candidates = 0;
-    long hits = 0;
-    for (const char* size : {"7B", "13B", "34B"}) {
-      const auto swept_config = model::LlamaBySize(size);
-      for (int batch : {16, 32, 64, 128}) {
-        for (Method method : all_methods) {
-          const PlannerResult result =
-              core::SearchBestStrategy(method, swept_config, cluster, batch, sweep);
-          candidates += result.surrogate_priced;
-          hits += result.cache_hits;
-        }
-      }
-    }
-    return std::pair<long, long>{candidates, hits};
-  };
-
-  const auto cold_start = std::chrono::steady_clock::now();
-  const auto [cold_candidates, cold_hits] = run_sweep();
-  const double cold_s =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - cold_start).count();
-  const auto warm_start = std::chrono::steady_clock::now();
-  const auto [warm_candidates, warm_hits] = run_sweep();
-  const double warm_s =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - warm_start).count();
-  std::printf(
-      "\nsurrogate sweep: %ld candidates in %.2fs (%.0f candidates/sec, %ld cache hits)\n",
-      cold_candidates, cold_s, cold_candidates / cold_s, cold_hits);
-  std::printf(
-      "cached re-sweep: %ld candidates in %.2fs (%.0f candidates/sec, %ld/%ld served)\n",
-      warm_candidates, warm_s, warm_candidates / warm_s, warm_hits, warm_candidates);
 }
 
 void BM_SurrogatePriceCandidate(benchmark::State& state) {
