@@ -379,7 +379,10 @@ TEST(Generator, KnobGridMatchesGolden) {
   const auto join = [](const auto& values, const char* format) {
     std::string text;
     for (const auto value : values) {
-      text += (text.empty() ? "" : ",") + StrFormat(format, value);
+      if (!text.empty()) {
+        text += ',';
+      }
+      text += StrFormat(format, value);
     }
     return text.empty() ? std::string("none") : text;
   };
