@@ -345,43 +345,24 @@ bool ClusterService::PlanJob(JobRecord& job, const Allocation& alloc, Seconds ti
     return job.plan.feasible;
   }
 
+  const FleetPlannerResult result =
+      SearchBestFleetStrategy(job.request.method, job.request.config, carve,
+                              job.request.global_batch, popts, carve.num_tiers() == 1);
   JobPlan plan;
-  if (carve.num_tiers() == 1) {
-    const PlannerResult result = SearchBestStrategy(
-        job.request.method, job.request.config, carve.tier(0).spec(),
-        job.request.global_batch, popts);
-    plan.surrogate_priced = result.surrogate_priced;
-    plan.simulated = result.simulated;
-    plan.cache_hits = result.cache_hits;
-    if (result.best) {
-      plan.feasible = true;
-      plan.strategy = result.best->strategy;
-      plan.iteration_time = result.best->iteration_time;
-      plan.peak_memory = result.best->peak_memory;
-      if (!result.best->schedule.stage_ops.empty()) {
-        plan.schedule_text = std::make_shared<const std::string>(
-            sched::SerializeSchedule(result.best->schedule));
-      }
-    }
-  } else {
-    const FleetPlannerResult result =
-        SearchBestFleetStrategy(job.request.method, job.request.config, carve,
-                                job.request.global_batch, popts);
-    plan.fleet_path = true;
-    plan.surrogate_priced = result.surrogate_priced;
-    plan.simulated = result.simulated;
-    plan.cache_hits = result.cache_hits;
-    if (result.best) {
-      plan.feasible = true;
-      plan.strategy = result.best->placed.strategy;
-      plan.placement = result.best->placed.placement;
-      plan.iteration_time = result.best->result.iteration_time;
-      plan.peak_memory = result.best->result.peak_memory;
-      plan.usd_per_iteration = result.best->dollars.usd_per_iteration;
-      if (!result.best->result.schedule.stage_ops.empty()) {
-        plan.schedule_text = std::make_shared<const std::string>(
-            sched::SerializeSchedule(result.best->result.schedule));
-      }
+  plan.fleet_path = carve.num_tiers() > 1;
+  plan.surrogate_priced = result.surrogate_priced;
+  plan.simulated = result.simulated;
+  plan.cache_hits = result.cache_hits;
+  if (result.best) {
+    plan.feasible = true;
+    plan.strategy = result.best->placed.strategy;
+    plan.placement = result.best->placed.placement;
+    plan.iteration_time = result.best->result.iteration_time;
+    plan.peak_memory = result.best->result.peak_memory;
+    plan.usd_per_iteration = result.best->dollars.usd_per_iteration;
+    if (!result.best->result.schedule.stage_ops.empty()) {
+      plan.schedule_text = std::make_shared<const std::string>(
+          sched::SerializeSchedule(result.best->result.schedule));
     }
   }
   plan.planning_latency =

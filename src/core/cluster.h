@@ -4,10 +4,10 @@
 // A ClusterService owns one hw::ClusterTopology and consumes a stream of
 // JobRequests (model preset, method, global batch, priority, optional
 // deadline, node demand). For every admission it carves a disjoint
-// whole-node sub-fleet (hw::CarveSubTopology), prices it through the
-// two-phase surrogate planner — SearchBestStrategy when the carve is a
-// single tier, SearchBestFleetStrategy when it spans tiers — with one
-// thread-safe SurrogateCache shared across all jobs, and runs the job to
+// whole-node sub-fleet (hw::CarveSubTopology), prices it through one
+// two-phase SearchBestFleetStrategy call on the carve itself — with exact
+// cover when the carve is a single tier — with one thread-safe
+// SurrogateCache shared across all jobs, and runs the job to
 // completion on the service's wall clock. Completions, fail-stops, and
 // preemptions reclaim capacity, which the admission loop immediately
 // re-offers to queued and degraded jobs; a node failure inside a running
@@ -105,11 +105,11 @@ struct Allocation {
 struct JobPlan {
   bool feasible = false;
   Strategy strategy;
-  hw::StagePlacement placement;  // meaningful on the fleet path only
-  bool fleet_path = false;       // true ⇔ SearchBestFleetStrategy priced it
+  hw::StagePlacement placement;  // stage → carve tier (all 0 on one tier)
+  bool fleet_path = false;       // true ⇔ the carve spans tiers
   Seconds iteration_time = 0;
   Bytes peak_memory = 0;
-  double usd_per_iteration = 0;  // fleet path only (kDollarCost pricing)
+  double usd_per_iteration = 0;  // rental + egress at the carve's rates
   // The winning schedule, serialized untagged once and shared by every
   // job the plan memo serves with it (null when the planner kept none).
   // A multi-job timeline attributes spans by sched::TagJob with

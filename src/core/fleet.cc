@@ -196,49 +196,40 @@ struct PlacedBuild {
   std::vector<double> static_scale;
 };
 
-// Builds `placed` for pricing. `exact_cover` picks the admissibility
-// rules. Placed requests pass null: ParallelLayout::Validate on the
-// topology and placement, then a reference sub-cluster sized to the
-// layout. ClusterSpec requests pass their cluster: BuildCandidate's own
-// checks against the whole of it, so the layout must cover it exactly and
-// tp>1 on a through-host fabric is priced rather than rejected.
+// The first issue's message, empty when the layout is admitted.
+std::string FirstIssue(const std::vector<hw::LayoutIssue>& issues) {
+  return issues.empty() ? std::string() : issues.front().message;
+}
+
+// Builds a validated `placed` for pricing: BuildCandidate on a reference
+// sub-cluster sized to the layout.
 PlacedBuild BuildPlaced(const model::TransformerConfig& config, const PlacedStrategy& placed,
                         const hw::ClusterTopology& topology, int global_batch,
-                        const IterationOptions& options, const hw::ClusterSpec* exact_cover) {
+                        const IterationOptions& options) {
   PlacedBuild pb;
-  if (exact_cover != nullptr) {
-    pb.build = BuildCandidate(config, placed.strategy, *exact_cover, global_batch, options);
-  } else {
-    const hw::ParallelLayout layout = placed.strategy.layout();
-    const int ranks = layout.ranks();
-    const std::vector<hw::LayoutIssue> issues = layout.Validate(topology, placed.placement);
-    if (!issues.empty()) {
-      pb.build.note = issues.front().message;
-      return pb;
+  const int ranks = placed.strategy.layout().ranks();
+  // Reference tier: fastest among the tiers the placement occupies.
+  int ref = placed.placement.tier_of(0);
+  for (const int t : placed.placement.stage_tier) {
+    if (topology.TierSlowdown(t) < topology.TierSlowdown(ref) ||
+        (topology.TierSlowdown(t) == topology.TierSlowdown(ref) && t < ref)) {
+      ref = t;
     }
-    // Reference tier: fastest among the tiers the placement occupies.
-    int ref = placed.placement.tier_of(0);
-    for (const int t : placed.placement.stage_tier) {
-      if (topology.TierSlowdown(t) < topology.TierSlowdown(ref) ||
-          (topology.TierSlowdown(t) == topology.TierSlowdown(ref) && t < ref)) {
-        ref = t;
-      }
-    }
-    // Its spec resized to exactly the layout's ranks, so the homogeneous
-    // BuildCandidate machinery applies unchanged.
-    hw::ClusterSpec ref_spec = topology.tier(ref).spec();
-    if (ranks <= ref_spec.gpus_per_node) {
-      ref_spec.nodes = 1;
-      ref_spec.gpus_per_node = ranks;
-    } else if (ranks % ref_spec.gpus_per_node == 0) {
-      ref_spec.nodes = ranks / ref_spec.gpus_per_node;
-    } else {
-      pb.build.note = StrFormat("layout ranks %d not divisible by tier %s's %d GPUs per node",
-                                ranks, topology.tier(ref).name.c_str(), ref_spec.gpus_per_node);
-      return pb;
-    }
-    pb.build = BuildCandidate(config, placed.strategy, ref_spec, global_batch, options);
   }
+  // Its spec resized to exactly the layout's ranks, so the homogeneous
+  // BuildCandidate machinery applies unchanged.
+  hw::ClusterSpec ref_spec = topology.tier(ref).spec();
+  if (ranks <= ref_spec.gpus_per_node) {
+    ref_spec.nodes = 1;
+    ref_spec.gpus_per_node = ranks;
+  } else if (ranks % ref_spec.gpus_per_node == 0) {
+    ref_spec.nodes = ranks / ref_spec.gpus_per_node;
+  } else {
+    pb.build.note = StrFormat("layout ranks %d not divisible by tier %s's %d GPUs per node",
+                              ranks, topology.tier(ref).name.c_str(), ref_spec.gpus_per_node);
+    return pb;
+  }
+  pb.build = BuildCandidate(config, placed.strategy, ref_spec, global_batch, options);
   if (!pb.build.feasible) {
     return pb;
   }
@@ -428,13 +419,13 @@ IterationResult Assemble(const model::TransformerConfig& config, const PlacedStr
   return result;
 }
 
-// The engine run of a candidate, with SimulateIteration's fault-plan,
-// noise and straggler-mitigation handling on single-tier topologies.
-PlacedIterationResult SimulateOn(const model::TransformerConfig& config,
-                                 const PlacedStrategy& placed,
-                                 const hw::ClusterTopology& topology, int global_batch,
-                                 const IterationOptions& options,
-                                 const hw::ClusterSpec* exact_cover) {
+}  // namespace
+
+PlacedIterationResult SimulatePlacedIteration(const model::TransformerConfig& config,
+                                              const PlacedStrategy& placed,
+                                              const hw::ClusterTopology& topology,
+                                              int global_batch,
+                                              const IterationOptions& options) {
   MEPIPE_CHECK(topology.num_tiers() == 1 ||
                (options.fault_plan.empty() && options.noise_sigma <= 0 &&
                 !options.rebalance_stragglers))
@@ -442,7 +433,11 @@ PlacedIterationResult SimulateOn(const model::TransformerConfig& config,
   PlacedIterationResult out;
   out.placed = placed;
   out.result.strategy = placed.strategy;
-  PlacedBuild pb = BuildPlaced(config, placed, topology, global_batch, options, exact_cover);
+  out.result.note = FirstIssue(placed.strategy.layout().Validate(topology, placed.placement));
+  if (!out.result.note.empty()) {
+    return out;
+  }
+  PlacedBuild pb = BuildPlaced(config, placed, topology, global_batch, options);
   if (!pb.build.feasible) {
     out.result.note = std::move(pb.build.note);
     return out;
@@ -521,27 +516,30 @@ PlacedIterationResult SimulateOn(const model::TransformerConfig& config,
   return out;
 }
 
-// The table replay of a candidate, served from and recorded in
-// options.cache when one is attached.
-PlacedSurrogateResult PriceOn(const model::TransformerConfig& config,
-                              const PlacedStrategy& placed, const hw::ClusterTopology& topology,
-                              int global_batch, const SurrogateOptions& options,
-                              const hw::ClusterSpec* exact_cover) {
+PlacedSurrogateResult SurrogatePricePlaced(const model::TransformerConfig& config,
+                                           const PlacedStrategy& placed,
+                                           const hw::ClusterTopology& topology,
+                                           int global_batch,
+                                           const SurrogateOptions& options) {
   const Strategy& strategy = placed.strategy;
   PlacedSurrogateResult out;
   out.placed = placed;
+  out.result.strategy = strategy;
+  // Egress and rent index the placement, so a misfit returns first.
+  out.result.note = FirstIssue(strategy.layout().Validate(topology, placed.placement));
+  if (!out.result.note.empty()) {
+    return out;
+  }
   // Egress depends on the problem shape alone, so a cache hit bills it
   // without a build.
   const Bytes egress = WanEgressBytesPerIteration(
-      config, placed, ProblemFor(strategy, global_batch / std::max(1, strategy.dp)), topology);
+      config, placed, ProblemFor(strategy, global_batch / strategy.dp), topology);
 
   SurrogateKey key;
   if (options.cache != nullptr) {
     key = {strategy.method, strategy.pp, strategy.dp, strategy.cp, strategy.tp, strategy.vp,
            strategy.spp, strategy.recompute, global_batch,
-           exact_cover != nullptr ? CostModelFingerprint(config, *exact_cover, options.iteration)
-                                  : TopologyFingerprint(config, topology, options.iteration),
-           exact_cover != nullptr ? 0 : placed.placement.Hash()};
+           TopologyFingerprint(config, topology, options.iteration), placed.placement.Hash()};
     if (auto hit = options.cache->Lookup(key)) {
       hit->cache_hit = true;
       out.result = std::move(*hit);
@@ -550,10 +548,8 @@ PlacedSurrogateResult PriceOn(const model::TransformerConfig& config,
     }
   }
 
-  PlacedBuild pb =
-      BuildPlaced(config, placed, topology, global_batch, options.iteration, exact_cover);
+  PlacedBuild pb = BuildPlaced(config, placed, topology, global_batch, options.iteration);
   SurrogateResult& result = out.result;
-  result.strategy = strategy;
   if (!pb.build.feasible) {
     result.note = std::move(pb.build.note);
   } else {
@@ -584,44 +580,35 @@ PlacedSurrogateResult PriceOn(const model::TransformerConfig& config,
   return out;
 }
 
-// A ClusterSpec request's placement: every stage on the one tier. Unlike
-// StagePlacement::Uniform it accepts pp < 1, which BuildCandidate then
-// rejects with its usual note.
-hw::StagePlacement SingleTierPlacement(int pp) {
-  return {std::vector<int>(static_cast<std::size_t>(std::max(0, pp)), 0)};
-}
-
-}  // namespace
-
-PlacedIterationResult SimulatePlacedIteration(const model::TransformerConfig& config,
-                                              const PlacedStrategy& placed,
-                                              const hw::ClusterTopology& topology,
-                                              int global_batch,
-                                              const IterationOptions& options) {
-  return SimulateOn(config, placed, topology, global_batch, options, nullptr);
-}
-
-PlacedSurrogateResult SurrogatePricePlaced(const model::TransformerConfig& config,
-                                           const PlacedStrategy& placed,
-                                           const hw::ClusterTopology& topology,
-                                           int global_batch,
-                                           const SurrogateOptions& options) {
-  return PriceOn(config, placed, topology, global_batch, options, nullptr);
-}
-
 IterationResult SimulateIteration(const model::TransformerConfig& config,
                                   const Strategy& strategy, const hw::ClusterSpec& cluster,
                                   int global_batch, const IterationOptions& options) {
-  return SimulateOn(config, {strategy, SingleTierPlacement(strategy.pp)},
-                    hw::SingleTierTopology(cluster), global_batch, options, &cluster)
+  // A ClusterSpec request is its one-tier topology with a layout that
+  // must use every GPU: the exact-cover rule of ParallelLayout::Validate.
+  const hw::ClusterTopology topology = hw::SingleTierTopology(cluster);
+  IterationResult rejected;
+  rejected.strategy = strategy;
+  rejected.note = FirstIssue(strategy.layout().Validate(topology));
+  if (!rejected.note.empty()) {
+    return rejected;
+  }
+  return SimulatePlacedIteration(config, {strategy, hw::StagePlacement::Uniform(strategy.pp, 0)},
+                                 topology, global_batch, options)
       .result;
 }
 
 SurrogateResult SurrogatePrice(const model::TransformerConfig& config,
                                const Strategy& strategy, const hw::ClusterSpec& cluster,
                                int global_batch, const SurrogateOptions& options) {
-  return PriceOn(config, {strategy, SingleTierPlacement(strategy.pp)},
-                 hw::SingleTierTopology(cluster), global_batch, options, &cluster)
+  const hw::ClusterTopology topology = hw::SingleTierTopology(cluster);
+  SurrogateResult rejected;
+  rejected.strategy = strategy;
+  rejected.note = FirstIssue(strategy.layout().Validate(topology));
+  if (!rejected.note.empty()) {
+    return rejected;
+  }
+  return SurrogatePricePlaced(config, {strategy, hw::StagePlacement::Uniform(strategy.pp, 0)},
+                              topology, global_batch, options)
       .result;
 }
 

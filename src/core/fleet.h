@@ -147,7 +147,7 @@ PlacedIterationResult SimulatePlacedIteration(const model::TransformerConfig& co
 
 // Surrogate counterpart (sim::PriceScheduleTable), cacheable through
 // SurrogateOptions::cache — keys carry TopologyFingerprint and the
-// placement hash so fleet prices never collide with homogeneous ones.
+// placement hash (see SurrogateKey).
 PlacedSurrogateResult SurrogatePricePlaced(const model::TransformerConfig& config,
                                            const PlacedStrategy& placed,
                                            const hw::ClusterTopology& topology,

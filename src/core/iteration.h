@@ -173,10 +173,13 @@ CandidateBuild BuildCandidate(const model::TransformerConfig& config,
 // strategies (indivisible batch, model not partitionable, OOM, …) return
 // feasible=false with an explanatory note instead of throwing.
 //
-// This is the single-tier case of SimulatePlacedIteration (defined with
-// it in core/fleet.cc). The layout must cover the whole cluster, and
-// BuildCandidate's structural checks run first, so tp>1 on a through-host
-// fabric is priced rather than rejected as ParallelLayout::Validate would.
+// A ClusterSpec request is a one-tier topology whose layout must use
+// every GPU: the first issue of
+// ParallelLayout::Validate(SingleTierTopology(cluster)) is returned as
+// the note (a factor below 1, a layout that does not cover the cluster,
+// tp>1 on a through-host fabric). An admitted layout runs
+// SimulatePlacedIteration (defined with it in core/fleet.cc) with every
+// stage on tier 0.
 IterationResult SimulateIteration(const model::TransformerConfig& config,
                                   const Strategy& strategy, const hw::ClusterSpec& cluster,
                                   int global_batch, const IterationOptions& options = {});

@@ -40,35 +40,25 @@ std::vector<int> VpCandidatesFor(Method method, const PlannerOptions& options) {
   }
 }
 
-// Where a search prices its grid: a topology, and for a homogeneous
-// search the ClusterSpec it came from. Both run the placed entry points;
-// the ClusterSpec fixes dp to the exact cover, supplies the pruning
-// bound, and carries no rental rate.
-struct Target {
-  hw::ClusterTopology topology;
-  const hw::ClusterSpec* cluster = nullptr;
-};
-
 // The candidate grid for `method`, in the canonical enumeration order
 // tp → pp → slice → vp → recompute → dp → placement. This order is the
 // search's tie-break: every driver (serial exhaustive, pruned, two-phase
 // parallel) ranks equal scores by position in this list, which is what
-// makes the parallel winner bit-identical to the serial one. On a
-// ClusterSpec dp is the one value that covers the cluster and every
-// stage sits on its one tier. On a topology the layout need not cover
-// the fleet: dp runs over powers of two >= min_dp while the rank count
-// still fits somewhere, and every placement from EnumeratePlacements that
+// makes the parallel winner bit-identical to the serial one. Under
+// `exact_cover` dp is the one value that covers the topology's one tier
+// and every stage sits on it. Otherwise the layout need not cover the
+// fleet: dp runs over powers of two >= min_dp while the rank count still
+// fits somewhere, and every placement from EnumeratePlacements that
 // validates is a candidate (the rest are tallied in *invalid_placements).
-std::vector<PlacedStrategy> EnumerateGrid(Method method, const Target& target,
-                                          const PlannerOptions& options,
+std::vector<PlacedStrategy> EnumerateGrid(Method method, const hw::ClusterTopology& topology,
+                                          bool exact_cover, const PlannerOptions& options,
                                           int* invalid_placements) {
   std::vector<PlacedStrategy> grid;
-  const int world = target.topology.world_size();
+  const int world = topology.world_size();
   for (int tp : options.tp_candidates) {
     for (int pp : options.pp_candidates) {
       const std::vector<hw::StagePlacement> placements =
-          target.cluster != nullptr ? std::vector<hw::StagePlacement>{}
-                                    : EnumeratePlacements(target.topology, pp);
+          exact_cover ? std::vector<hw::StagePlacement>{} : EnumeratePlacements(topology, pp);
       for (int slice : options.slice_candidates) {
         for (int vp : VpCandidatesFor(method, options)) {
           const std::vector<bool> recompute_choices =
@@ -93,13 +83,12 @@ std::vector<PlacedStrategy> EnumerateGrid(Method method, const Target& target,
             if (denom == 0) {
               continue;
             }
-            if (target.cluster != nullptr) {
+            if (exact_cover) {
               strategy.dp = world / denom;
               // Structured admissibility (kWorldMismatch subsumes the old
               // world % denom test: an integer-truncated dp cannot cover
               // the world exactly).
-              if (strategy.dp >= options.min_dp &&
-                  strategy.layout().Validate(target.topology).empty()) {
+              if (strategy.dp >= options.min_dp && strategy.layout().Validate(topology).empty()) {
                 grid.push_back({strategy, hw::StagePlacement::Uniform(pp, 0)});
               }
               continue;
@@ -110,7 +99,7 @@ std::vector<PlacedStrategy> EnumerateGrid(Method method, const Target& target,
               }
               strategy.dp = dp;
               for (const hw::StagePlacement& placement : placements) {
-                if (!strategy.layout().Validate(target.topology, placement).empty()) {
+                if (!strategy.layout().Validate(topology, placement).empty()) {
                   ++*invalid_placements;
                   continue;
                 }
@@ -244,8 +233,9 @@ struct Search {
 // optional surrogate sweep and top-k selection, the exact phase in grid
 // order, and, when the caller keeps timelines, the winner's
 // re-simulation with its timeline.
-Search RunSearch(Method method, const model::TransformerConfig& config, const Target& target,
-                 int global_batch, const PlannerOptions& options) {
+Search RunSearch(Method method, const model::TransformerConfig& config,
+                 const hw::ClusterTopology& topology, bool exact_cover, int global_batch,
+                 const PlannerOptions& options) {
   Search out;
   IterationOptions eval_options = options.iteration;
   eval_options.keep_timeline = false;
@@ -253,28 +243,28 @@ Search RunSearch(Method method, const model::TransformerConfig& config, const Ta
     eval_options.fault_plan = options.fault_plan;
   }
   const bool faulted = !eval_options.fault_plan.empty();
-  // A ClusterSpec carries no rental rate: every candidate rents the same
-  // fleet, so kDollarCost ranks by iteration time there.
+  // An exact cover rents the whole of its one tier for every candidate,
+  // so kDollarCost ranks by iteration time there.
   const PlannerObjective objective =
-      target.cluster != nullptr && options.objective == PlannerObjective::kDollarCost
+      exact_cover && options.objective == PlannerObjective::kDollarCost
           ? PlannerObjective::kIterationTime
           : options.objective;
   // The lower bound is fault-aware (straggler windows cap each stage's
   // rate), so pruning survives a fault plan. Rebalanced search moves
   // work across stages, which no per-stage bound survives — off there.
-  // The bound prices a ClusterSpec, so fleet searches never prune.
-  const bool prune =
-      options.prune && target.cluster != nullptr && !(faulted && options.search_rebalanced);
+  // The bound prices the one tier's ClusterSpec, so only exact-cover
+  // searches prune.
+  const bool prune = options.prune && exact_cover && !(faulted && options.search_rebalanced);
 
   const std::vector<PlacedStrategy> grid =
-      EnumerateGrid(method, target, options, &out.invalid_placements);
+      EnumerateGrid(method, topology, exact_cover, options, &out.invalid_placements);
 
   // ---- phase 1: surrogate sweep + top-k selection (two_phase only) ----
   // The surrogate prices clean runs only; under a fault plan the search
   // stays exhaustive (the fault-aware bound still prunes it).
   std::vector<char> selected(grid.size(), 1);
   if (options.two_phase && !faulted && !grid.empty()) {
-    out.priced = SurrogateSweep(grid, config, target.topology, global_batch, eval_options,
+    out.priced = SurrogateSweep(grid, config, topology, global_batch, eval_options,
                                 options.cache, options.threads);
     out.surrogate_priced = static_cast<int>(out.priced.size());
     std::vector<std::pair<double, std::size_t>> ranked;  // (score, grid index)
@@ -318,7 +308,7 @@ Search RunSearch(Method method, const model::TransformerConfig& config, const Ta
       // iteration_time / goodput never falls below the iteration time
       // itself (goodput <= 1), so a bound above the incumbent's score
       // bounds the candidate out either way.
-      const auto bound = SurrogateLowerBound(config, candidate.strategy, *target.cluster,
+      const auto bound = SurrogateLowerBound(config, candidate.strategy, topology.tier(0).spec(),
                                              global_batch, eval_options);
       if (bound && *bound >= Score(*out.best, objective)) {
         ++out.pruned;
@@ -332,8 +322,7 @@ Search RunSearch(Method method, const model::TransformerConfig& config, const Ta
     const auto evaluate = [&](const IterationOptions& iteration) {
       PlacedIterationResult result;
       try {
-        result =
-            SimulatePlacedIteration(config, candidate, target.topology, global_batch, iteration);
+        result = SimulatePlacedIteration(config, candidate, topology, global_batch, iteration);
       } catch (const CheckError& err) {
         result.placed = candidate;
         result.result.strategy = candidate.strategy;
@@ -369,8 +358,8 @@ Search RunSearch(Method method, const model::TransformerConfig& config, const Ta
     final_options.keep_timeline = true;
     final_options.rebalance_stragglers =
         eval_options.rebalance_stragglers || out.best->result.mitigation.rebalanced;
-    *out.best = SimulatePlacedIteration(config, out.best->placed, target.topology,
-                                        global_batch, final_options);
+    *out.best = SimulatePlacedIteration(config, out.best->placed, topology, global_batch,
+                                        final_options);
     MEPIPE_CHECK(out.best->result.feasible);
     PriceGoodput(out.best->result, options);
   }
@@ -382,8 +371,8 @@ Search RunSearch(Method method, const model::TransformerConfig& config, const Ta
 PlannerResult SearchBestStrategy(Method method, const model::TransformerConfig& config,
                                  const hw::ClusterSpec& cluster, int global_batch,
                                  const PlannerOptions& options) {
-  Search search = RunSearch(method, config, {hw::SingleTierTopology(cluster), &cluster},
-                            global_batch, options);
+  Search search = RunSearch(method, config, hw::SingleTierTopology(cluster),
+                            /*exact_cover=*/true, global_batch, options);
   PlannerResult out;
   if (search.best) {
     out.best = std::move(search.best->result);
@@ -399,13 +388,18 @@ PlannerResult SearchBestStrategy(Method method, const model::TransformerConfig& 
 FleetPlannerResult SearchBestFleetStrategy(Method method,
                                            const model::TransformerConfig& config,
                                            const hw::ClusterTopology& topology,
-                                           int global_batch, const PlannerOptions& options) {
-  MEPIPE_CHECK(options.objective != PlannerObjective::kGoodput)
-      << "the goodput objective is not supported on the fleet path";
-  MEPIPE_CHECK(options.fault_plan.empty() && options.iteration.fault_plan.empty() &&
-               options.iteration.noise_sigma <= 0 && !options.iteration.rebalance_stragglers)
-      << "the fleet search prices clean runs only";
-  Search search = RunSearch(method, config, {topology}, global_batch, options);
+                                           int global_batch, const PlannerOptions& options,
+                                           bool exact_cover) {
+  if (exact_cover) {
+    MEPIPE_CHECK_EQ(topology.num_tiers(), 1) << "an exact cover needs a one-tier topology";
+  } else {
+    MEPIPE_CHECK(options.objective != PlannerObjective::kGoodput)
+        << "the goodput objective is not supported on the fleet path";
+    MEPIPE_CHECK(options.fault_plan.empty() && options.iteration.fault_plan.empty() &&
+                 options.iteration.noise_sigma <= 0 && !options.iteration.rebalance_stragglers)
+        << "the fleet search prices clean runs only";
+  }
+  Search search = RunSearch(method, config, topology, exact_cover, global_batch, options);
   FleetPlannerResult out;
   out.best = std::move(search.best);
   out.priced = std::move(search.priced);
@@ -415,18 +409,6 @@ FleetPlannerResult SearchBestFleetStrategy(Method method,
   out.surrogate_priced = search.surrogate_priced;
   out.cache_hits = search.cache_hits;
   return out;
-}
-
-std::vector<PlannerResult> SearchMethods(const std::vector<Method>& methods,
-                                         const model::TransformerConfig& config,
-                                         const hw::ClusterSpec& cluster, int global_batch,
-                                         const PlannerOptions& options) {
-  std::vector<PlannerResult> results;
-  results.reserve(methods.size());
-  for (Method method : methods) {
-    results.push_back(SearchBestStrategy(method, config, cluster, global_batch, options));
-  }
-  return results;
 }
 
 }  // namespace mepipe::core

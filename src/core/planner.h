@@ -31,8 +31,8 @@ namespace mepipe::core {
 //  - kDollarCost: dollars per iteration — fleet rental (occupied ranks ×
 //    tier $/GPU-hour × iteration time) plus WAN egress. Meaningful on the
 //    fleet path (SearchBestFleetStrategy), where tiers price differently;
-//    on the homogeneous path every candidate rents the same fleet, so the
-//    ranking degenerates to kIterationTime.
+//    an exact-cover search rents the same whole fleet for every
+//    candidate, so the ranking degenerates to kIterationTime.
 enum class PlannerObjective { kIterationTime, kGoodput, kDollarCost };
 
 struct PlannerOptions {
@@ -118,9 +118,10 @@ struct PlannerResult {
   int cache_hits = 0;                       // of those, served from the cache
 };
 
-// Searches the grid for `method`. Timelines are kept only on the winner,
-// and only when options.iteration.keep_timeline is set (the winner is
-// then re-simulated once to record it).
+// Searches the grid for `method` on SingleTierTopology(cluster) with
+// exact cover (see SearchBestFleetStrategy). Timelines are kept only on
+// the winner, and only when options.iteration.keep_timeline is set (the
+// winner is then re-simulated once to record it).
 PlannerResult SearchBestStrategy(Method method, const model::TransformerConfig& config,
                                  const hw::ClusterSpec& cluster, int global_batch,
                                  const PlannerOptions& options = {});
@@ -143,27 +144,26 @@ struct FleetPlannerResult {
 };
 
 // Grid search over (strategy shape × dp × stage→tier placement) on a
-// tiered fleet, ranked by `options.objective` (kIterationTime or
-// kDollarCost; kGoodput is not supported here and CHECK-fails). Unlike
-// the homogeneous search the layout need not cover the whole fleet: dp
-// runs over powers of two >= min_dp while the layout still fits, and
-// every placement from EnumeratePlacements that validates becomes a
-// candidate axis. With options.two_phase the grid is surrogate-priced in
-// parallel (SurrogatePricePlaced; thread-count-invariant winner — same
-// (score, grid order) ranking as the homogeneous driver) and the DES
-// runs only on the surrogate top-k. Clean-run only: a fault plan, noise
-// or straggler rebalancing CHECK-fails.
+// tiered fleet, ranked by `options.objective`. By default the layout need
+// not cover the whole fleet: dp runs over powers of two >= min_dp while
+// the layout still fits, and every placement from EnumeratePlacements
+// that validates becomes a candidate axis. With options.two_phase the
+// grid is surrogate-priced in parallel (SurrogatePricePlaced;
+// thread-count-invariant winner, ranked by (score, grid order)) and the
+// DES runs only on the surrogate top-k. This default is clean-run only:
+// kGoodput, a fault plan, noise or straggler rebalancing CHECK-fails.
+//
+// `exact_cover` runs SearchBestStrategy's search instead: the topology
+// must have one tier (else CheckError), dp is the one value whose layout
+// uses every GPU, every stage sits on tier 0, kDollarCost ranks by
+// iteration time, options.prune may skip candidates by
+// SurrogateLowerBound, and goodput and fault plans are admitted.
 FleetPlannerResult SearchBestFleetStrategy(Method method,
                                            const model::TransformerConfig& config,
                                            const hw::ClusterTopology& topology,
                                            int global_batch,
-                                           const PlannerOptions& options = {});
-
-// Convenience: searches several methods and returns per-method winners.
-std::vector<PlannerResult> SearchMethods(const std::vector<Method>& methods,
-                                         const model::TransformerConfig& config,
-                                         const hw::ClusterSpec& cluster, int global_batch,
-                                         const PlannerOptions& options = {});
+                                           const PlannerOptions& options = {},
+                                           bool exact_cover = false);
 
 }  // namespace mepipe::core
 

@@ -46,9 +46,9 @@ void MixLink(Digest& digest, const hw::LinkSpec& link) {
 
 }  // namespace
 
-std::uint64_t CostModelFingerprint(const model::TransformerConfig& config,
-                                   const hw::ClusterSpec& cluster,
-                                   const IterationOptions& options) {
+std::uint64_t TopologyFingerprint(const model::TransformerConfig& config,
+                                  const hw::ClusterTopology& topology,
+                                  const IterationOptions& options) {
   Digest digest;
   // Model architecture.
   digest.Mix(config.name);
@@ -59,16 +59,6 @@ std::uint64_t CostModelFingerprint(const model::TransformerConfig& config,
   digest.Mix(config.kv_heads);
   digest.Mix(config.vocab);
   digest.Mix(config.seq_len);
-  // Cluster: GPU + fabric.
-  digest.Mix(cluster.nodes);
-  digest.Mix(cluster.gpus_per_node);
-  digest.Mix(cluster.gpu.name);
-  digest.Mix(cluster.gpu.memory_capacity);
-  digest.Mix(cluster.gpu.memory_reserved);
-  digest.Mix(cluster.gpu.peak_flops);
-  digest.Mix(cluster.gpu.matmul_derate);
-  MixLink(digest, cluster.intra_node);
-  MixLink(digest, cluster.inter_node);
   // TrainingCostOptions.
   digest.Mix(options.cost.balanced_slices);
   digest.Mix(options.cost.slice_alignment);
@@ -77,16 +67,7 @@ std::uint64_t CostModelFingerprint(const model::TransformerConfig& config,
   digest.Mix(static_cast<int>(options.wgrad_mode));
   digest.Mix(options.svpp_inflight);
   digest.Mix(options.dp_overlap);
-  return digest.state;
-}
-
-std::uint64_t TopologyFingerprint(const model::TransformerConfig& config,
-                                  const hw::ClusterTopology& topology,
-                                  const IterationOptions& options) {
-  // Reuse the homogeneous digest on the first tier's spec, then fold in
-  // every tier and the inter-tier link matrix.
-  Digest digest;
-  digest.Mix(CostModelFingerprint(config, topology.tiers.front().spec(), options));
+  // Every tier (GPU, shape, links, rental rate) and the inter-tier links.
   digest.Mix(topology.num_tiers());
   for (const hw::DeviceTier& tier : topology.tiers) {
     digest.Mix(tier.name);
@@ -108,6 +89,12 @@ std::uint64_t TopologyFingerprint(const model::TransformerConfig& config,
     digest.Mix(link.wan);
   }
   return digest.state;
+}
+
+std::uint64_t CostModelFingerprint(const model::TransformerConfig& config,
+                                   const hw::ClusterSpec& cluster,
+                                   const IterationOptions& options) {
+  return TopologyFingerprint(config, hw::SingleTierTopology(cluster), options);
 }
 
 std::size_t SurrogateKeyHash::operator()(const SurrogateKey& key) const {
@@ -204,13 +191,6 @@ SurrogateCache::Stats SurrogateCache::stats() const {
 std::size_t SurrogateCache::size() const {
   std::lock_guard<std::mutex> lock(mu_);
   return entries_.size();
-}
-
-void SurrogateCache::Clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  entries_.clear();
-  intervals_.clear();
-  stats_ = {};
 }
 
 SurrogateGoodput ClosedFormGoodput(Seconds iteration_time, Bytes checkpoint_shard,

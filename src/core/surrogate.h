@@ -49,31 +49,29 @@ using sim::TableOptions;
 // ---- Cost-model fingerprint + pricing cache -------------------------------
 
 // Deterministic 64-bit digest of everything that determines a surrogate
-// price besides the strategy shape: the model architecture, the cluster
-// (GPU + links), TrainingCostOptions (slice balancing), and the
-// pricing-relevant IterationOptions (wgrad mode, SVPP variant, DP
-// overlap). The cost model's fixed quantities (byte widths, workspace,
-// op overhead, efficiency curve, optimizer step) are constants and need
-// no digest. Fault plans and noise are deliberately excluded — the
-// surrogate prices the clean run.
-std::uint64_t CostModelFingerprint(const model::TransformerConfig& config,
-                                   const hw::ClusterSpec& cluster,
-                                   const IterationOptions& options);
-
-// Fleet analogue: digests every tier (GPU, shape, links, rental rate)
-// and the inter-tier link matrix (bandwidth, latency, egress price) on
-// top of the model/options digest, so heterogeneous-fleet prices never
-// collide with homogeneous ones or with differently-priced fleets.
+// price besides the strategy shape and placement: the model
+// architecture, every tier of the topology (GPU, shape, links, rental
+// rate), the inter-tier link matrix (bandwidth, latency, egress price),
+// TrainingCostOptions (slice balancing), and the pricing-relevant
+// IterationOptions (wgrad mode, SVPP variant, DP overlap). Each input is
+// digested once. The cost model's fixed quantities (byte widths,
+// workspace, op overhead, efficiency curve, optimizer step) are
+// constants and need no digest. Fault plans and noise are deliberately
+// excluded — the surrogate prices the clean run.
 std::uint64_t TopologyFingerprint(const model::TransformerConfig& config,
                                   const hw::ClusterTopology& topology,
                                   const IterationOptions& options);
 
-// Cache key: (method, shape, batch, cost-model fingerprint, placement).
-// ClusterSpec requests (SurrogatePrice) key on CostModelFingerprint with
-// `placement` 0; placed requests (SurrogatePricePlaced) on
-// TopologyFingerprint with StagePlacement::Hash(). The two apply
-// different layout admissibility rules, so their entries never alias,
-// even on a one-tier topology.
+// TopologyFingerprint of SingleTierTopology(cluster): the fingerprint a
+// ClusterSpec request's cache key carries.
+std::uint64_t CostModelFingerprint(const model::TransformerConfig& config,
+                                   const hw::ClusterSpec& cluster,
+                                   const IterationOptions& options);
+
+// Cache key of every price: (method, shape, batch, TopologyFingerprint,
+// StagePlacement::Hash()). A ClusterSpec request (SurrogatePrice) is the
+// one-tier uniform candidate, so it shares its entry with the
+// homogeneous planner's sweep.
 struct SurrogateKey {
   Method method = Method::kSvpp;
   int pp = 1, dp = 1, cp = 1, tp = 1, vp = 1, spp = 1;
@@ -136,7 +134,6 @@ class SurrogateCache {
 
   Stats stats() const;
   std::size_t size() const;
-  void Clear();
 
  private:
   struct IntervalKey {
@@ -179,10 +176,12 @@ struct SurrogateOptions {
 
 // Builds the candidate (core::BuildCandidate) and prices it with the
 // table replay. Infeasible candidates return feasible=false with the
-// structural or OOM note, mirroring SimulateIteration. The single-tier
-// case of SurrogatePricePlaced (defined with it in core/fleet.cc), with
-// SimulateIteration's admissibility rules; cache keys carry
-// CostModelFingerprint and placement 0.
+// layout, structural or OOM note, mirroring SimulateIteration. A
+// ClusterSpec request is a one-tier topology under the exact-cover rule:
+// the first issue of ParallelLayout::Validate(SingleTierTopology(cluster))
+// is returned as the note; an admitted layout runs SurrogatePricePlaced
+// (defined with it in core/fleet.cc) with every stage on tier 0, under
+// that candidate's cache key.
 SurrogateResult SurrogatePrice(const model::TransformerConfig& config,
                                const Strategy& strategy, const hw::ClusterSpec& cluster,
                                int global_batch, const SurrogateOptions& options = {});

@@ -135,36 +135,6 @@ bool WorseLink(const LinkSpec& a, const LinkSpec& b) {
 
 }  // namespace
 
-const char* DimName(Dim dim) {
-  switch (dim) {
-    case Dim::kPipeline:
-      return "pipeline";
-    case Dim::kContext:
-      return "context";
-    case Dim::kData:
-      return "data";
-    case Dim::kTensor:
-      return "tensor";
-  }
-  return "?";
-}
-
-const char* LayoutIssueCodeName(LayoutIssue::Code code) {
-  switch (code) {
-    case LayoutIssue::Code::kEmptyLayout:
-      return "empty_layout";
-    case LayoutIssue::Code::kWorldMismatch:
-      return "world_mismatch";
-    case LayoutIssue::Code::kRankOversubscription:
-      return "rank_oversubscription";
-    case LayoutIssue::Code::kPlacementShape:
-      return "placement_shape";
-    case LayoutIssue::Code::kTensorParallelOnConsumerTier:
-      return "tp_on_consumer_tier";
-  }
-  return "?";
-}
-
 ClusterSpec Rtx4090Cluster() {
   ClusterSpec c;
   c.gpu = Rtx4090();

@@ -69,8 +69,6 @@ struct ParallelLayout {
 // The four communication dimensions a layout maps onto links.
 enum class Dim : std::uint8_t { kPipeline = 0, kContext = 1, kData = 2, kTensor = 3 };
 
-const char* DimName(Dim dim);
-
 // Which physical fabric a dimension's traffic rides, coarsest first.
 enum class FabricClass : std::uint8_t { kLoopback = 0, kIntraNode = 1, kInterNode = 2, kWan = 3 };
 
@@ -158,8 +156,6 @@ struct LayoutIssue {
   int tier = -1;  // offending tier, when applicable
   std::string message;
 };
-
-const char* LayoutIssueCodeName(LayoutIssue::Code code);
 
 // A fleet of device tiers plus the inter-tier link matrix. The one-tier
 // case reproduces the legacy ClusterSpec mapping bit-identically.

@@ -156,6 +156,14 @@ TEST(ClusterDifferential, SingleTierJobMatchesSearchBestStrategy) {
   EXPECT_EQ(job.plan.strategy.ToString(), direct.best->strategy.ToString());
   EXPECT_EQ(job.plan.iteration_time, direct.best->iteration_time);  // bitwise
   EXPECT_EQ(job.plan.peak_memory, direct.best->peak_memory);
+  // Planned on the carve itself: every stage on its one tier, rented at
+  // the tier's rate.
+  EXPECT_EQ(job.plan.placement.ToString(),
+            hw::StagePlacement::Uniform(job.plan.strategy.pp, 0).ToString());
+  EXPECT_EQ(job.plan.usd_per_iteration,
+            PriceDollarCost(carve, {job.plan.strategy, job.plan.placement},
+                            job.plan.iteration_time, 0)
+                .usd_per_iteration);
 
   // The stored schedule is the direct winner's, untagged.
   ASSERT_NE(job.plan.schedule_text, nullptr);

@@ -120,6 +120,29 @@ TEST(Placements, ValidateFlagsOversubscriptionAndShape) {
   EXPECT_TRUE(flagged);
 }
 
+// A placement the layout does not fit returns Validate's note from both
+// placed entry points, before egress or rent index it.
+TEST(Placements, MisfitPlacementsReturnTheLayoutNote) {
+  const auto fleet = MixedFleet(hw::WanLink(5.0, 0.08));
+  const struct {
+    hw::StagePlacement placement;
+    const char* note;
+  } cases[] = {
+      {{{0, 1}}, "placement names 2 stages, layout has pp=8"},
+      {{{0, 0, 0, 0, 5, 5, 5, 5}}, "placement references tier 5 of 2"},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.placement.ToString());
+    const PlacedStrategy placed = Placed(Method::kSvpp, 8, 2, 4, c.placement);
+    const auto simulated = SimulatePlacedIteration(model::Llama7B(), placed, fleet, 64);
+    const auto priced = SurrogatePricePlaced(model::Llama7B(), placed, fleet, 64);
+    EXPECT_FALSE(simulated.result.feasible);
+    EXPECT_EQ(simulated.result.note, c.note);
+    EXPECT_FALSE(priced.result.feasible);
+    EXPECT_EQ(priced.result.note, c.note);
+  }
+}
+
 // ---- Single-tier bit-identity ---------------------------------------------
 
 // One structurally valid 7B shape per method on the 4090 (pp=4, dp=16,
@@ -202,6 +225,41 @@ TEST(SingleTier, PlacedSurrogateReproducesSurrogatePriceBitForBit) {
     EXPECT_EQ(fleet_view.result.peak_activation, reference.peak_activation);
     EXPECT_EQ(fleet_view.result.peak_memory, reference.peak_memory);
     EXPECT_EQ(fleet_view.result.checkpoint_shard, reference.checkpoint_shard);
+  }
+}
+
+// A ClusterSpec request is its one-tier topology under the exact-cover
+// rule: both direct entry points return ParallelLayout::Validate's first
+// note, as the planner's grid and the placed path do.
+TEST(SingleTier, ClusterSpecRequestsReturnTheLayoutRulesNote) {
+  const auto config = model::Llama13B();
+  const auto cluster = hw::Rtx4090Cluster();
+  struct Case {
+    const char* label;
+    int pp, dp, cp, tp;
+    const char* note;
+  };
+  const Case cases[] = {
+      {"tp>1 on a through-host fabric", 8, 4, 1, 2,
+       "tp=2 but every tier has a through-host intra-node fabric"},
+      {"negative factors whose product is the world", 8, 8, -1, -1,
+       "all layout factors must be >= 1"},
+      {"a layout smaller than the cluster", 8, 4, 1, 1, "layout covers 32 ranks, cluster has 64"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.label);
+    Strategy strategy;
+    strategy.method = Method::kDapple;
+    strategy.pp = c.pp;
+    strategy.dp = c.dp;
+    strategy.cp = c.cp;
+    strategy.tp = c.tp;
+    const IterationResult simulated = SimulateIteration(config, strategy, cluster, 64);
+    const SurrogateResult priced = SurrogatePrice(config, strategy, cluster, 64);
+    EXPECT_FALSE(simulated.feasible);
+    EXPECT_EQ(simulated.note, c.note);
+    EXPECT_FALSE(priced.feasible);
+    EXPECT_EQ(priced.note, c.note);
   }
 }
 
@@ -474,6 +532,22 @@ TEST(FleetSearch, GoodputObjectiveIsRejected) {
                    Method::kSvpp, model::Llama7B(), fleet, 128,
                    FleetSearchOptions(PlannerObjective::kGoodput, 1)),
                CheckError);
+}
+
+TEST(FleetSearch, ExactCoverNeedsOneTierAndAdmitsGoodput) {
+  EXPECT_THROW(SearchBestFleetStrategy(Method::kSvpp, model::Llama7B(), MixedFleet(Lan()), 128,
+                                       FleetSearchOptions(PlannerObjective::kIterationTime, 1),
+                                       /*exact_cover=*/true),
+               CheckError);
+  PlannerOptions options = FleetSearchOptions(PlannerObjective::kGoodput, 1);
+  options.pp_candidates = {8};
+  options.slice_candidates = {4};
+  const auto result =
+      SearchBestFleetStrategy(Method::kSvpp, model::Llama7B(),
+                              hw::SingleTierTopology(hw::Rtx4090Cluster()), 128, options,
+                              /*exact_cover=*/true);
+  ASSERT_TRUE(result.best.has_value());
+  EXPECT_TRUE(result.best->result.goodput.priced);
 }
 
 }  // namespace

@@ -334,15 +334,6 @@ TEST(Planner, DeterministicAcrossRuns) {
   EXPECT_EQ(a.best->strategy.ToString(), b.best->strategy.ToString());
 }
 
-TEST(Planner, SearchMethodsCoversAll) {
-  const auto config = model::Llama13B();
-  const auto cluster = hw::Rtx4090Cluster();
-  const auto results = SearchMethods({Method::kDapple, Method::kSvpp}, config, cluster, 64);
-  ASSERT_EQ(results.size(), 2u);
-  EXPECT_TRUE(results[0].best.has_value());
-  EXPECT_TRUE(results[1].best.has_value());
-}
-
 TEST(Planner, PruningNeverChangesTheWinnerOnASmallGrid) {
   // Regression guard on the pruning lower bound: across every method on
   // a deliberately small grid, the pruned search must land on the same
@@ -540,6 +531,27 @@ TEST(Planner, TwoPhaseServesRepeatSearchesFromTheCache) {
   EXPECT_EQ(second.cache_hits, second.surrogate_priced);  // every price served
   EXPECT_EQ(first.best->strategy.ToString(), second.best->strategy.ToString());
   EXPECT_EQ(first.best->iteration_time, second.best->iteration_time);
+}
+
+// One candidate, one key: a direct SurrogatePrice of the winner is the
+// sweep's own entry, so it hits and the cache does not grow.
+TEST(Planner, SurrogatePriceOfTheWinnerHitsTheSweepsEntry) {
+  const auto config = model::Llama13B();
+  const auto cluster = hw::Rtx4090Cluster();
+  SurrogateCache cache;
+  PlannerOptions options;
+  options.two_phase = true;
+  options.cache = &cache;
+  const auto search = SearchBestStrategy(Method::kSvpp, config, cluster, 64, options);
+  ASSERT_TRUE(search.best.has_value());
+  const std::size_t entries = cache.size();
+  SurrogateOptions surrogate;
+  surrogate.cache = &cache;
+  const SurrogateResult priced =
+      SurrogatePrice(config, search.best->strategy, cluster, 64, surrogate);
+  EXPECT_TRUE(priced.cache_hit);
+  EXPECT_TRUE(priced.feasible) << priced.note;
+  EXPECT_EQ(cache.size(), entries);
 }
 
 TEST(Planner, SearchRebalancedVariantsBeatOrMatchTheFaultedSearch) {
