@@ -10,7 +10,7 @@ double FailureOverheadFraction(int gpus, const ReliabilityOptions& options) {
   MEPIPE_CHECK_GT(gpus, 0);
   MEPIPE_CHECK_GT(options.mtbf_per_1000_gpus, 0.0);
   MEPIPE_CHECK_GT(options.checkpoint_interval, 0.0);
-  const double mtbf = options.mtbf_per_1000_gpus * 1000.0 / static_cast<double>(gpus);
+  const double mtbf = options.ClusterMtbf(gpus);
   // Each failure costs recovery plus on average half a checkpoint
   // interval of lost work; each interval costs one checkpoint write.
   const double per_failure = options.recovery_time + options.checkpoint_interval / 2.0;

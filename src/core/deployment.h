@@ -26,6 +26,11 @@ struct ReliabilityOptions {
   Seconds checkpoint_interval = 10.0 * 60.0;
   // Cost of writing one checkpoint (pause or bandwidth steal).
   Seconds checkpoint_write_cost = 10.0;
+
+  // Mean time between failures of a `gpus`-accelerator cluster.
+  Seconds ClusterMtbf(int gpus) const {
+    return mtbf_per_1000_gpus * 1000.0 / static_cast<double>(gpus);
+  }
 };
 
 // Expected fraction of cluster time lost to failures + checkpointing for

@@ -65,37 +65,13 @@ void ElasticOptions::Validate() const {
       << "straggler stage " << straggler.stage << " outside [-1, " << pipeline_stages << ")";
   detector.Validate();
   MEPIPE_CHECK_GT(interval_solve_mtbfs, 0.0);
-
-  const auto check_len = [](std::size_t got, const char* what, std::size_t want) {
-    MEPIPE_CHECK(got == 0 || got == want)
-        << what << " has " << got << " entries, want 0 or " << want;
-  };
-  const std::size_t dp = static_cast<std::size_t>(run.dp_replicas);
-  check_len(iteration_time_by_survivors.size(), "iteration_time_by_survivors", dp);
-  check_len(useful_fraction_by_survivors.size(), "useful_fraction_by_survivors", dp);
-  check_len(reshard_stall_by_survivors.size(), "reshard_stall_by_survivors", dp);
-  check_len(shape_feasible.size(), "shape_feasible", dp);
-  const std::size_t stages = static_cast<std::size_t>(pipeline_stages);
-  check_len(clean_stage_busy.size(), "clean_stage_busy", stages);
-  check_len(straggled_stage_busy.size(), "straggled_stage_busy", stages);
-  check_len(mitigated_stage_busy.size(), "mitigated_stage_busy", stages);
-  for (const Seconds t : iteration_time_by_survivors) {
-    MEPIPE_CHECK_GE(t, 0.0);
-  }
-  for (const double f : useful_fraction_by_survivors) {
-    MEPIPE_CHECK_GE(f, 0.0);
-  }
-  for (const Seconds t : reshard_stall_by_survivors) {
-    MEPIPE_CHECK_GE(t, 0.0);
-  }
-  MEPIPE_CHECK_GE(straggled_iteration_time, 0.0);
-  MEPIPE_CHECK_GE(mitigated_iteration_time, 0.0);
   for (const int spp : shape_slice_candidates) {
     MEPIPE_CHECK_GE(spp, 1) << "shape_slice_candidates entries must be >= 1";
   }
 }
 
-ElasticMetrics SimulateElasticRun(Seconds iteration_time, const ElasticOptions& opt) {
+ElasticMetrics SimulateElasticRun(Seconds iteration_time, const ElasticOptions& opt,
+                                  const ElasticPricing* measured) {
   MEPIPE_CHECK_GT(iteration_time, 0.0);
   opt.Validate();
   const ReliabilityOptions& rel = opt.run.reliability;
@@ -103,14 +79,26 @@ ElasticMetrics SimulateElasticRun(Seconds iteration_time, const ElasticOptions& 
   const int stages = opt.pipeline_stages;
   const int units0 = opt.units_per_stage;
 
+  // Without measurements the run reads the analytic defaults: no shapes,
+  // zero canonical times, empty busy vectors.
+  const ElasticPricing analytic;
+  const ElasticPricing& priced = measured != nullptr ? *measured : analytic;
+  if (measured != nullptr) {
+    MEPIPE_CHECK_EQ(priced.shapes.size(), static_cast<std::size_t>(dp))
+        << "measured shapes do not match dp_replicas";
+    for (const auto* busy : {&priced.clean_stage_busy, &priced.straggled_stage_busy,
+                             &priced.mitigated_stage_busy}) {
+      MEPIPE_CHECK(busy->empty() || busy->size() == static_cast<std::size_t>(stages))
+          << "measured busy vectors need pipeline_stages (" << stages << ") entries";
+    }
+  }
+
   const Seconds target = opt.run.target_useful_time > 0
                              ? opt.run.target_useful_time
                              : static_cast<Seconds>(opt.run.iterations) * iteration_time;
   MEPIPE_CHECK_GT(target, 0.0) << "nothing to simulate";
-  const Seconds mtbf =
-      rel.mtbf_per_1000_gpus * 1000.0 / static_cast<double>(opt.run.gpus);
 
-  SplitMixRng rng_fail(opt.run.seed);
+  FailureClock clock(rel.ClusterMtbf(opt.run.gpus), target, opt.run.seed);
   SplitMixRng rng_straggler(opt.run.seed ^ kStragglerStream);
   SplitMixRng rng_noise(opt.run.seed ^ kNoiseStream);
 
@@ -120,15 +108,11 @@ ElasticMetrics SimulateElasticRun(Seconds iteration_time, const ElasticOptions& 
   m.checkpoint_interval_by_survivors.assign(static_cast<std::size_t>(dp), 0.0);
 
   // ---- run state ----------------------------------------------------------
-  Seconds wall = 0;        // elapsed cluster time, stalls included
   Seconds useful = 0;      // clean-equivalent progress delivered
   Seconds ckpt_useful = 0; // progress covered by the last durable checkpoint
   Seconds since_ckpt = 0;  // running wall since the last durable checkpoint
   int survivors = dp;
   std::deque<Seconds> repairs;  // wall instants outstanding repairs complete
-  // Full-fleet-equivalent hazard budget to the next failure: advancing
-  // dt of wall with `active` powered replicas consumes dt·active/dp.
-  Seconds next_fail = rng_fail.NextExponential(mtbf);
 
   // Straggler ground truth (hw) and the plan currently executing
   // (assumed profile + unit assignment).
@@ -144,8 +128,6 @@ ElasticMetrics SimulateElasticRun(Seconds iteration_time, const ElasticOptions& 
   std::vector<int> units(static_cast<std::size_t>(stages), units0);
   const std::vector<int> even_units = units;
 
-  const double failure_budget = 1000.0 * (target / mtbf + 10.0);
-
   // ---- helpers ------------------------------------------------------------
   const auto record_event = [&](sim::FaultKind kind, int stage, Seconds begin, Seconds end,
                                 std::string label) {
@@ -154,87 +136,59 @@ ElasticMetrics SimulateElasticRun(Seconds iteration_time, const ElasticOptions& 
     }
   };
 
-  // All wall advancement funnels through tick(): it keeps the
-  // degraded-time ledger (wall spent with fewer than dp live replicas,
-  // whether idling or training) consistent by construction.
-  const auto tick = [&](Seconds dt) {
-    wall += dt;
+  // Both ways of advancing the clock keep the degraded-time ledger (wall
+  // spent with fewer than dp live replicas, whether idling or training);
+  // `active` replicas are exposed to the hazard.
+  const auto exposure = [&](int active) {
+    return static_cast<double>(active) / static_cast<double>(dp);
+  };
+  const auto advance = [&](Seconds dt, int active) {
+    const FailureClock::Step step = clock.Run(dt, exposure(active));
     if (survivors < dp) {
-      m.degraded_time += dt;
+      m.degraded_time += step.done;
     }
+    return step;
   };
-
-  struct Advance {
-    Seconds done = 0;
-    bool failed = false;
-  };
-  // Advances up to dt of wall with `active` replicas exposed to the
-  // hazard, stopping early at a failure instant.
-  const auto advance = [&](Seconds dt, int active) -> Advance {
-    const double frac = static_cast<double>(active) / static_cast<double>(dp);
-    if (frac <= 0.0 || dt <= 0.0) {
-      tick(std::max(0.0, dt));
-      return {std::max(0.0, dt), false};
-    }
-    const Seconds exposure = dt * frac;
-    if (next_fail > exposure) {
-      next_fail -= exposure;
-      tick(dt);
-      return {dt, false};
-    }
-    const Seconds done = next_fail / frac;
-    tick(done);
-    next_fail = rng_fail.NextExponential(mtbf);
-    return {done, true};
-  };
-  // Advances THROUGH dt: short barrier stalls (reshard, re-plan) are
-  // failure-atomic — the hazard budget is consumed, but a failure
-  // landing inside fires right after the stall instead of aborting it.
+  // Short barrier stalls (reshard, re-plan) are failure-atomic.
   const auto advance_through = [&](Seconds dt, int active) {
-    const double frac =
-        std::max(0.0, static_cast<double>(active) / static_cast<double>(dp));
-    next_fail = std::max(0.0, next_fail - std::max(0.0, dt) * frac);
-    tick(std::max(0.0, dt));
+    clock.RunThrough(dt, exposure(active));
+    if (survivors < dp) {
+      m.degraded_time += std::max(0.0, dt);
+    }
   };
 
-  const auto shape_ok = [&](int s) {
-    if (s < 1) {
-      return false;
+  // The measured shape of s survivors, or null where the run is analytic
+  // (no measurements, or a shape the engine could not run).
+  const auto measured_shape = [&](int s) -> const ElasticShape* {
+    if (priced.shapes.empty() || !priced.shapes[static_cast<std::size_t>(s - 1)].feasible) {
+      return nullptr;
     }
-    return opt.shape_feasible.empty() ||
-           opt.shape_feasible[static_cast<std::size_t>(s - 1)] != 0;
+    return &priced.shapes[static_cast<std::size_t>(s - 1)];
+  };
+  const auto shape_ok = [&](int s) {
+    return s >= 1 && (priced.shapes.empty() || measured_shape(s) != nullptr);
   };
   const auto shape_time = [&](int s) -> Seconds {
-    if (!opt.iteration_time_by_survivors.empty()) {
-      const Seconds t = opt.iteration_time_by_survivors[static_cast<std::size_t>(s - 1)];
-      if (t > 0) {
-        return t;
-      }
+    if (const ElasticShape* shape = measured_shape(s)) {
+      return shape->iteration_time;
     }
     return iteration_time * static_cast<double>(dp) / static_cast<double>(s);
   };
   const auto useful_credit = [&](int s) -> Seconds {
-    if (!opt.useful_fraction_by_survivors.empty()) {
-      const double f = opt.useful_fraction_by_survivors[static_cast<std::size_t>(s - 1)];
-      if (f > 0) {
-        return iteration_time * f;
-      }
+    if (const ElasticShape* shape = measured_shape(s)) {
+      return iteration_time * shape->useful_fraction;
     }
     return iteration_time;
   };
   const auto reshard_stall_for = [&](int s) -> Seconds {
-    if (!opt.reshard_stall_by_survivors.empty()) {
-      const Seconds t = opt.reshard_stall_by_survivors[static_cast<std::size_t>(s - 1)];
-      if (t > 0) {
-        return t;
-      }
-    }
-    return opt.reshard_stall;
+    const ElasticShape* shape = measured_shape(s);
+    return shape != nullptr && shape->reshard_stall > 0 ? shape->reshard_stall
+                                                        : opt.reshard_stall;
   };
 
   // Checkpoint interval of a fleet shape, re-solved on first visit for
-  // the surviving fleet's MTBF (ISSUE tentpole (b)); memoized — the
-  // solver runs once per shape, not per checkpoint.
+  // the surviving fleet's MTBF; memoized — the solver runs once per
+  // shape, not per checkpoint.
   std::vector<Seconds> interval_memo(static_cast<std::size_t>(dp), 0.0);
   const auto interval_for = [&](int s) -> Seconds {
     Seconds& memo = interval_memo[static_cast<std::size_t>(s - 1)];
@@ -247,9 +201,7 @@ ElasticMetrics SimulateElasticRun(Seconds iteration_time, const ElasticOptions& 
       ResilienceOptions solve = opt.run;
       solve.gpus = std::max(1, opt.run.gpus * s / dp);
       solve.dp_replicas = s;
-      const Seconds shape_mtbf =
-          rel.mtbf_per_1000_gpus * 1000.0 / static_cast<double>(solve.gpus);
-      solve.target_useful_time = opt.interval_solve_mtbfs * shape_mtbf;
+      solve.target_useful_time = opt.interval_solve_mtbfs * rel.ClusterMtbf(solve.gpus);
       memo = OptimalCheckpointInterval(shape_time(s), solve, opt.interval_solver).refined;
     }
     m.checkpoint_interval_by_survivors[static_cast<std::size_t>(s - 1)] = memo;
@@ -257,16 +209,16 @@ ElasticMetrics SimulateElasticRun(Seconds iteration_time, const ElasticOptions& 
   };
 
   // Iteration-time factor of the plan currently executing relative to
-  // the clean even plan: engine-measured canonical states when the
-  // pricing overrides are set, the analytic unit bottleneck otherwise.
+  // the clean even plan: engine-measured canonical states when they were
+  // priced, the analytic unit bottleneck otherwise.
   // The re-planned units after the straggler is gone are never measured.
   const auto plan_factor = [&]() -> double {
     const bool even = units == even_units;
     Seconds canonical = 0;
     if (even) {
-      canonical = straggler_active ? opt.straggled_iteration_time : iteration_time;
+      canonical = straggler_active ? priced.straggled_iteration_time : iteration_time;
     } else if (straggler_active) {
-      canonical = opt.mitigated_iteration_time;
+      canonical = priced.mitigated_iteration_time;
     }
     if (canonical > 0) {
       return canonical / iteration_time;
@@ -284,9 +236,9 @@ ElasticMetrics SimulateElasticRun(Seconds iteration_time, const ElasticOptions& 
   const auto synth_busy = [&](const std::vector<double>& dilation) {
     std::vector<Seconds> busy(static_cast<std::size_t>(stages));
     for (std::size_t i = 0; i < busy.size(); ++i) {
-      const Seconds base = opt.clean_stage_busy.empty()
+      const Seconds base = priced.clean_stage_busy.empty()
                                ? iteration_time / static_cast<double>(stages)
-                               : opt.clean_stage_busy[i];
+                               : priced.clean_stage_busy[i];
       busy[i] = base * (static_cast<double>(units[i]) / static_cast<double>(units0)) *
                 dilation[i];
     }
@@ -301,8 +253,8 @@ ElasticMetrics SimulateElasticRun(Seconds iteration_time, const ElasticOptions& 
       return nullptr;  // re-planned units, straggler gone: never measured
     }
     const std::vector<Seconds>& canon =
-        even ? (strag ? opt.straggled_stage_busy : opt.clean_stage_busy)
-             : opt.mitigated_stage_busy;
+        even ? (strag ? priced.straggled_stage_busy : priced.clean_stage_busy)
+             : priced.mitigated_stage_busy;
     return canon.empty() ? nullptr : &canon;
   };
   const auto expected_busy = [&]() {
@@ -326,33 +278,36 @@ ElasticMetrics SimulateElasticRun(Seconds iteration_time, const ElasticOptions& 
     estimator = SlowdownWindowEstimator(expected_busy(), opt.detector);
   }
 
-  const auto count_failure = [&]() {
-    ++m.failures;
-    MEPIPE_CHECK_LT(m.failures, failure_budget)
-        << "MTBF " << mtbf << "s is too short for the run to make progress under the "
-        << ToString(opt.policy) << " policy";
+  const auto rollback_to_checkpoint = [&]() {
+    m.lost_time += useful - ckpt_useful;
+    useful = ckpt_useful;
+    since_ckpt = 0;
   };
 
-  // A replica goes down at the current wall instant: queue its repair.
+  // A replica went down at the current wall instant: queue its repair.
+  // Once no replica is live, none holds state newer than the durable
+  // checkpoint, whatever the policy.
   const auto lose_replica = [&]() {
-    count_failure();
     --survivors;
+    const Seconds wall = clock.wall();
     record_event(sim::FaultKind::kFailStop, -1, wall, wall,
                  StrFormat("replica lost (%d/%d live)", survivors, dp));
     record_event(sim::FaultKind::kRepair, -1, wall, wall + opt.repair_time,
                  StrFormat("node repair, %d outstanding", static_cast<int>(repairs.size()) + 1));
     repairs.push_back(wall + opt.repair_time);
+    if (survivors == 0) {
+      rollback_to_checkpoint();
+    }
   };
 
-  // Synchronous outage (frozen/restart, and the elastic fallbacks):
-  // every replica idles until each outstanding node is repaired, then
-  // the fleet pays the restore stall. Failures during the wait queue
-  // their own repairs; a failure during the restore restarts it.
+  // Synchronous outage (frozen/restart, and the elastic fallback): every
+  // replica idles until each outstanding node is repaired, then the fleet
+  // pays the restore stall. Failures during the wait queue their own
+  // repairs; a failure during the restore restarts it.
   const auto synchronous_outage = [&]() {
     for (;;) {
       while (!repairs.empty()) {
-        const Seconds due = repairs.front();
-        const Advance r = advance(due - wall, survivors);
+        const FailureClock::Step r = advance(repairs.front() - clock.wall(), survivors);
         m.repair_wait_time += r.done;
         if (r.failed) {
           lose_replica();
@@ -361,20 +316,13 @@ ElasticMetrics SimulateElasticRun(Seconds iteration_time, const ElasticOptions& 
           ++survivors;
         }
       }
-      const Advance r = advance(rel.recovery_time, survivors);
+      const FailureClock::Step r = advance(rel.recovery_time, survivors);
       m.recovery_time += r.done;
       if (!r.failed) {
         return;
       }
       lose_replica();
     }
-  };
-
-  const auto rollback_to_checkpoint = [&]() {
-    const Seconds rolled = useful - ckpt_useful;
-    m.lost_time += rolled;
-    useful = ckpt_useful;
-    since_ckpt = 0;
   };
 
   // Hardware failure at the current wall instant; `partial_lost` is the
@@ -396,23 +344,20 @@ ElasticMetrics SimulateElasticRun(Seconds iteration_time, const ElasticOptions& 
         synchronous_outage();
         break;
       case ElasticPolicy::kElastic:
-        if (survivors >= 1 && shape_ok(survivors)) {
+        if (shape_ok(survivors)) {
           // Shrink the DP ring: survivors re-cover the departed
           // replica's ZeRO-1 shard behind a redistribution barrier,
           // then training continues degraded.
           const Seconds stall = reshard_stall_for(survivors);
-          const Seconds begin = wall;
+          const Seconds begin = clock.wall();
           advance_through(stall, survivors);
           m.reshard_time += stall;
           ++m.reshards;
-          record_event(sim::FaultKind::kReshard, -1, begin, wall,
+          record_event(sim::FaultKind::kReshard, -1, begin, clock.wall(),
                        StrFormat("shrink to %d replicas", survivors));
-        } else if (survivors >= 1) {
-          // No feasible smaller shape: restart-style synchronous wait.
-          synchronous_outage();
         } else {
-          // The last replica died — no surviving peer holds the state.
-          rollback_to_checkpoint();
+          // No live replica, or no feasible smaller shape:
+          // restart-style synchronous wait.
           synchronous_outage();
         }
         break;
@@ -424,16 +369,16 @@ ElasticMetrics SimulateElasticRun(Seconds iteration_time, const ElasticOptions& 
   // replica streamed its peer state during the repair window, so no
   // extra recovery stall is paid — DESIGN.md states the contract).
   const auto process_repairs = [&]() {
-    while (!repairs.empty() && repairs.front() <= wall) {
+    while (!repairs.empty() && repairs.front() <= clock.wall()) {
       repairs.pop_front();
       ++survivors;
       if (opt.policy == ElasticPolicy::kElastic) {
         const Seconds stall = reshard_stall_for(survivors);
-        const Seconds begin = wall;
+        const Seconds begin = clock.wall();
         advance_through(stall, survivors);
         m.reshard_time += stall;
         ++m.expansions;
-        record_event(sim::FaultKind::kReshard, -1, begin, wall,
+        record_event(sim::FaultKind::kReshard, -1, begin, clock.wall(),
                      StrFormat("expand to %d replicas", survivors));
       }
     }
@@ -443,6 +388,7 @@ ElasticMetrics SimulateElasticRun(Seconds iteration_time, const ElasticOptions& 
     if (opt.straggler.mtbf <= 0) {
       return;
     }
+    const Seconds wall = clock.wall();
     if (straggler_active && wall >= straggler_until) {
       straggler_active = false;
       std::fill(hw.begin(), hw.end(), 1.0);
@@ -481,13 +427,13 @@ ElasticMetrics SimulateElasticRun(Seconds iteration_time, const ElasticOptions& 
     }
     NormalizeByMedian(assumed);
     units = PartitionUnitsBySpeed(units0 * stages, assumed, 1);
-    const Seconds begin = wall;
+    const Seconds begin = clock.wall();
     advance_through(opt.replan_stall, survivors);
     m.replan_time += opt.replan_stall;
     ++m.replans;
     StageProfile profile;
     profile.slowdown = assumed;
-    record_event(sim::FaultKind::kReplan, straggler_stage, begin, wall,
+    record_event(sim::FaultKind::kReplan, straggler_stage, begin, clock.wall(),
                  StrFormat("replan: profile max x%.2f", profile.max_slowdown()));
     estimator.Reset(expected_busy());
   };
@@ -500,7 +446,7 @@ ElasticMetrics SimulateElasticRun(Seconds iteration_time, const ElasticOptions& 
     const Seconds tau = shape_time(s) * plan_factor();
     const Seconds credit = useful_credit(s);
 
-    const Advance r = advance(tau, s);
+    const FailureClock::Step r = advance(tau, s);
     if (r.failed) {
       // The interrupted iteration's partial work is discarded.
       const double frac = tau > 0 ? r.done / tau : 1.0;
@@ -515,8 +461,12 @@ ElasticMetrics SimulateElasticRun(Seconds iteration_time, const ElasticOptions& 
       replan();
     }
 
-    if (useful + 1e-9 < target && since_ckpt >= interval_for(survivors)) {
-      const Advance w = advance(rel.checkpoint_write_cost, survivors);
+    // A due checkpoint is written at the first iteration boundary where it
+    // is due. A failure that aborts the write leaves the run standing at
+    // that boundary, so the write is retried at once if it is still due
+    // (a rollback resets since_ckpt, so it is not).
+    while (useful + 1e-9 < target && since_ckpt >= interval_for(survivors)) {
+      const FailureClock::Step w = advance(rel.checkpoint_write_cost, survivors);
       m.checkpoint_time += w.done;
       if (w.failed) {
         // Failure mid-write: the elapsed write time is spent but the
@@ -531,6 +481,7 @@ ElasticMetrics SimulateElasticRun(Seconds iteration_time, const ElasticOptions& 
     }
   }
 
+  const Seconds wall = clock.wall();
   if (straggler_active) {
     record_event(sim::FaultKind::kStraggler, straggler_stage, straggler_began, wall,
                  StrFormat("stage %d x%.2f at run end", straggler_stage,
@@ -538,6 +489,7 @@ ElasticMetrics SimulateElasticRun(Seconds iteration_time, const ElasticOptions& 
   }
   m.wall_time = wall;
   m.useful_time = useful;
+  m.failures = clock.failures();
   m.degraded_fraction = wall > 0 ? m.degraded_time / wall : 0.0;
   m.goodput = wall > 0 ? useful / wall : 1.0;
   m.overhead_fraction = 1.0 - m.goodput;
@@ -589,7 +541,7 @@ std::vector<Seconds> StageBusyOf(const sim::SimResult& sim) {
 // footprint.
 std::vector<Strategy> ShapeVariants(const Strategy& base, const ElasticOptions& options) {
   std::vector<Strategy> variants{base};
-  if (!options.surrogate_shape_search || !MethodUsesSlices(base.method)) {
+  if (!MethodUsesSlices(base.method)) {
     return variants;
   }
   for (const int spp : options.shape_slice_candidates) {
@@ -604,23 +556,27 @@ std::vector<Strategy> ShapeVariants(const Strategy& base, const ElasticOptions& 
   return variants;
 }
 
+// `options` with the analytic partition model of `strategy`'s real shape.
+ElasticOptions ShapedFor(ElasticOptions options, const model::TransformerConfig& config,
+                         const Strategy& strategy) {
+  options.pipeline_stages = strategy.pp;
+  options.units_per_stage = std::max(
+      1, static_cast<int>(config.partition_units()) / (strategy.pp * strategy.vp));
+  return options;
+}
+
 }  // namespace
 
 ElasticPricing PriceElasticShapes(const model::TransformerConfig& config,
                                   const Strategy& strategy, const hw::ClusterSpec& cluster,
-                                  int global_batch, ElasticOptions& options,
+                                  int global_batch, const ElasticOptions& options,
                                   const IterationOptions& iteration) {
   const int dp = strategy.dp;
   MEPIPE_CHECK_GE(dp, 1);
   MEPIPE_CHECK_EQ(dp, options.run.dp_replicas)
       << "strategy.dp and options.run.dp_replicas disagree";
   MEPIPE_CHECK_GT(global_batch, 0);
-
-  // The analytic partition model follows the strategy's real shape.
-  options.pipeline_stages = strategy.pp;
-  options.units_per_stage = std::max(
-      1, static_cast<int>(config.partition_units()) / (strategy.pp * strategy.vp));
-  options.Validate();
+  ShapedFor(options, config, strategy).Validate();
 
   IterationOptions iter = iteration;
   iter.keep_timeline = false;
@@ -628,10 +584,6 @@ ElasticPricing PriceElasticShapes(const model::TransformerConfig& config,
 
   ElasticPricing pricing;
   pricing.shapes.resize(static_cast<std::size_t>(dp));
-  options.iteration_time_by_survivors.assign(static_cast<std::size_t>(dp), 0.0);
-  options.useful_fraction_by_survivors.assign(static_cast<std::size_t>(dp), 0.0);
-  options.reshard_stall_by_survivors.assign(static_cast<std::size_t>(dp), 0.0);
-  options.shape_feasible.assign(static_cast<std::size_t>(dp), 0);
 
   for (int s = dp; s >= 1; --s) {
     ElasticShape& shape = pricing.shapes[static_cast<std::size_t>(s - 1)];
@@ -670,8 +622,8 @@ ElasticPricing PriceElasticShapes(const model::TransformerConfig& config,
     const int batch_s = micros * s;
     // Surrogate triage: analytically price the shape's partitioning
     // variants and hand only the winner to the exact engine below. The
-    // base strategy is variant 0, so ties (and search-off) reproduce the
-    // pre-surrogate behavior exactly.
+    // base strategy is variant 0, so ties (and no candidates) keep the
+    // base partitioning.
     Strategy chosen = degraded;
     const std::vector<Strategy> variants = ShapeVariants(degraded, options);
     if (variants.size() > 1) {
@@ -722,17 +674,8 @@ ElasticPricing PriceElasticShapes(const model::TransformerConfig& config,
     if (shape.invariant_violations == 0) {
       ++pricing.validated_schedules;
     }
-
-    options.iteration_time_by_survivors[static_cast<std::size_t>(s - 1)] =
-        shape.iteration_time;
-    options.useful_fraction_by_survivors[static_cast<std::size_t>(s - 1)] =
-        shape.useful_fraction;
-    options.reshard_stall_by_survivors[static_cast<std::size_t>(s - 1)] =
-        shape.reshard_stall;
-    options.shape_feasible[static_cast<std::size_t>(s - 1)] = 1;
-
     if (s == dp) {
-      options.clean_stage_busy = StageBusyOf(result.sim);
+      pricing.clean_stage_busy = StageBusyOf(result.sim);
     }
   }
 
@@ -756,8 +699,7 @@ ElasticPricing PriceElasticShapes(const model::TransformerConfig& config,
         SimulateIteration(config, strategy, cluster, global_batch, straggled_iter);
     MEPIPE_CHECK(straggled.feasible) << "straggled run infeasible: " << straggled.note;
     pricing.straggled_iteration_time = straggled.iteration_time;
-    options.straggled_iteration_time = straggled.iteration_time;
-    options.straggled_stage_busy = StageBusyOf(straggled.sim);
+    pricing.straggled_stage_busy = StageBusyOf(straggled.sim);
 
     IterationOptions mitigated_iter = straggled_iter;
     mitigated_iter.rebalance_stragglers = true;
@@ -766,8 +708,7 @@ ElasticPricing PriceElasticShapes(const model::TransformerConfig& config,
     MEPIPE_CHECK(mitigated.feasible) << "mitigated run infeasible: " << mitigated.note;
     pricing.mitigation_adopted = mitigated.mitigation.rebalanced;
     pricing.mitigated_iteration_time = mitigated.iteration_time;
-    options.mitigated_iteration_time = mitigated.iteration_time;
-    options.mitigated_stage_busy = StageBusyOf(mitigated.sim);
+    pricing.mitigated_stage_busy = StageBusyOf(mitigated.sim);
     if (mitigated.mitigation.rebalanced &&
         CountInvariantViolations(mitigated, strategy.pp) == 0) {
       ++pricing.validated_schedules;
@@ -781,9 +722,10 @@ ElasticMetrics SimulateElasticRun(const model::TransformerConfig& config,
                                   const Strategy& strategy, const hw::ClusterSpec& cluster,
                                   int global_batch, ElasticOptions options,
                                   const IterationOptions& iteration) {
+  options = ShapedFor(std::move(options), config, strategy);
   const ElasticPricing pricing =
       PriceElasticShapes(config, strategy, cluster, global_batch, options, iteration);
-  return SimulateElasticRun(pricing.clean_iteration_time, options);
+  return SimulateElasticRun(pricing.clean_iteration_time, options, &pricing);
 }
 
 }  // namespace mepipe::core

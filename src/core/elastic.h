@@ -4,8 +4,8 @@
 // Everything the repo had so far is offline: core/rebalance replans from
 // a *complete* trace, and the PR-4 replica restart replays on the *same*
 // fleet shape, idling survivors while a lost replica recovers. This
-// control loop turns those pieces into an online runtime over the
-// wall-clock training-run simulator (core/resilience):
+// control loop turns those pieces into an online runtime on the
+// training-run simulator's wall clock (core/resilience's FailureClock):
 //
 //   (a) Straggler path — a sliding window of per-stage busy times
 //       (rebalance::SlowdownWindowEstimator) watches for persistent
@@ -25,12 +25,17 @@
 //       idles them through repair + recovery (PR 4 on a repair-time
 //       axis); kElastic re-shards to the survivors — the DP ring
 //       shrinks, the lost replica's ZeRO-1 optimizer shard is
-//       redistributed (priced via TrainingCostModel::CheckpointShardBytes
-//       over the DP fabric in hw::CommModel by PriceElasticShapes), the
-//       checkpoint interval is re-solved via OptimalCheckpointInterval
-//       for the surviving fleet's MTBF, and the run continues at reduced
-//       throughput until the configured repair time restores the node,
-//       when the ring re-expands for another reshard barrier.
+//       redistributed, the checkpoint interval is re-solved via
+//       OptimalCheckpointInterval for the surviving fleet's MTBF, and
+//       the run continues at reduced throughput until the configured
+//       repair time restores the node, when the ring re-expands for
+//       another reshard barrier. Under every policy, losing the last
+//       live replica rolls back to the durable checkpoint, and a write
+//       a failure aborted is retried at once while it is still due.
+//
+// PriceElasticShapes measures every fleet shape on the discrete-event
+// engine; the loop reads that ElasticPricing in place of its analytic
+// defaults (dp/survivors iteration scaling, uniform busy) when given it.
 //
 // Progress is accounted in *clean-equivalent seconds* (one clean
 // full-fleet iteration delivers iteration_time of useful progress), so
@@ -91,8 +96,7 @@ struct ElasticOptions {
   // state machine). replan_stall covers schedule regeneration + weight
   // redistribution after a straggler re-plan; reshard_stall covers the
   // ZeRO-shard redistribution barrier on every DP-ring shrink or
-  // re-expansion (overridden per shape by reshard_stall_by_survivors
-  // when PriceElasticShapes filled it).
+  // re-expansion (a measured shape's own barrier replaces it).
   Seconds replan_stall = 30;
   Seconds reshard_stall = 20;
 
@@ -113,43 +117,24 @@ struct ElasticOptions {
   CheckpointIntervalOptions interval_solver{0, 0, /*coarse_points=*/9,
                                             /*golden_iterations=*/8};
 
-  // ---- Engine-grounded pricing overrides ---------------------------------
-  // All empty/zero = the analytic defaults (degraded iteration time
-  // scales as dp/survivors; per-stage busy is uniform). PriceElasticShapes
-  // fills them from discrete-event measurements. Indexed [survivors-1].
-  std::vector<Seconds> iteration_time_by_survivors;  // wall per degraded iteration
-  std::vector<double> useful_fraction_by_survivors;  // clean-iteration credit each
-  std::vector<Seconds> reshard_stall_by_survivors;   // barrier entering that shape
-  std::vector<std::uint8_t> shape_feasible;          // empty = every shape feasible
-  // Canonical plan-state iteration times on the full fleet (0 = analytic).
-  Seconds straggled_iteration_time = 0;        // even units, straggler active
-  Seconds mitigated_iteration_time = 0;        // re-planned units, straggler active
-  // Canonical per-stage busy vectors for the detector (empty = analytic).
-  // Re-planned units after the straggler is gone always run analytic.
-  std::vector<Seconds> clean_stage_busy;
-  std::vector<Seconds> straggled_stage_busy;
-  std::vector<Seconds> mitigated_stage_busy;
-
   // ---- Surrogate shape triage (core/surrogate) ---------------------------
-  // Off (the default): every surviving-fleet shape keeps the full-fleet
-  // strategy's partitioning verbatim — bit-identical to the pre-surrogate
-  // behavior. On: for each shape, PriceElasticShapes first prices
-  // partitioning variants of the strategy (SPP splits for slice methods
-  // — never CP/TP/PP, which would change the replica's GPU footprint)
-  // with the analytic surrogate, and runs the exact discrete-event engine
-  // only on the variant the surrogate picked. A degraded fleet often
-  // prefers a different slice split than the full fleet (more
-  // micro-batches per replica), and the triage makes that search
-  // affordable inside a live re-plan. Ties and the all-infeasible
+  // Empty (the default): every surviving-fleet shape keeps the full-fleet
+  // strategy's partitioning verbatim. Non-empty: for each shape,
+  // PriceElasticShapes first prices the strategy's SPP re-splits to these
+  // values (slice methods only — never CP/TP/PP, which would change the
+  // replica's GPU footprint) with the analytic surrogate, and runs the
+  // exact discrete-event engine only on the variant the surrogate picked.
+  // A degraded fleet often prefers a different slice split than the full
+  // fleet (more micro-batches per replica), and the triage makes that
+  // search affordable inside a live re-plan. Ties and the all-infeasible
   // fallback keep the base strategy.
-  bool surrogate_shape_search = false;
-  std::vector<int> shape_slice_candidates;  // SPP variants; empty = base only
+  std::vector<int> shape_slice_candidates;
   // Optional cross-run pricing cache (not owned; thread-safe).
   SurrogateCache* surrogate_cache = nullptr;
 
   // Throws CheckError on malformed options (run.Validate(), negative
   // stalls/repair, straggler slowdown < 1 or stage out of range,
-  // detector.Validate(), override vectors of the wrong length, ...).
+  // detector.Validate(), slice candidates < 1, ...).
   void Validate() const;
 };
 
@@ -167,7 +152,9 @@ struct ElasticMetrics {
   Seconds replan_time = 0;      // straggler re-plan stalls
   Seconds degraded_time = 0;    // wall spent with < dp_replicas live
   double degraded_fraction = 0; // degraded_time / wall_time
-  std::int64_t iterations_completed = 0;  // degraded iterations count too
+  // Every iteration the run trained, degraded ones and replays of
+  // rolled-back work included (ResilienceMetrics counts net progress).
+  std::int64_t iterations_completed = 0;
   int failures = 0;
   int reshards = 0;             // DP-ring shrink transitions
   int expansions = 0;           // DP-ring re-expansions after repair
@@ -186,11 +173,6 @@ struct ElasticMetrics {
   std::vector<sim::FaultSpan> events;
 };
 
-// Simulates a training run whose clean full-fleet iteration takes
-// `iteration_time` seconds under the elastic control loop. Throws
-// CheckError on non-positive iteration times or invalid options.
-ElasticMetrics SimulateElasticRun(Seconds iteration_time, const ElasticOptions& options);
-
 // ---- Engine-grounded shape pricing ----------------------------------------
 
 // One surviving-fleet shape, priced on the discrete-event engine.
@@ -198,9 +180,9 @@ struct ElasticShape {
   int survivors = 0;
   bool feasible = false;
   // The partitioning this shape runs (dp = survivors). Equal to the
-  // full-fleet strategy unless surrogate_shape_search re-split it.
+  // full-fleet strategy unless the shape_slice_candidates triage re-split it.
   Strategy strategy;
-  int surrogate_variants = 0;   // variants triaged for this shape (0 = search off)
+  int surrogate_variants = 0;   // variants triaged for this shape (0 = no triage)
   std::string note;             // "ok" or why the shape cannot run
   Seconds iteration_time = 0;   // wall per degraded iteration
   double useful_fraction = 1;   // clean-iteration credit per degraded iteration
@@ -211,6 +193,8 @@ struct ElasticShape {
   int invariant_violations = -1;
 };
 
+// Everything PriceElasticShapes measured; SimulateElasticRun reads it in
+// place of its analytic defaults.
 struct ElasticPricing {
   Seconds clean_iteration_time = 0;
   std::vector<ElasticShape> shapes;  // index s-1 for s in [1, dp]
@@ -219,17 +203,32 @@ struct ElasticPricing {
   Seconds straggled_iteration_time = 0;
   Seconds mitigated_iteration_time = 0;
   bool mitigation_adopted = false;
+  // Canonical per-stage busy vectors for the detector (empty = not
+  // priced; re-planned units after the straggler is gone run analytic).
+  std::vector<Seconds> clean_stage_busy;
+  std::vector<Seconds> straggled_stage_busy;
+  std::vector<Seconds> mitigated_stage_busy;
   // Re-planned / re-sharded schedules that passed CheckScheduleInvariants
   // under their fleet shape's activation budget.
   int validated_schedules = 0;
 };
 
+// Simulates a training run whose clean full-fleet iteration takes
+// `iteration_time` seconds under the elastic control loop, on `measured`
+// shapes and busy vectors when given (elastic falls back to an outage on
+// a shape it marks infeasible). Throws CheckError on non-positive
+// iteration times, invalid options, or a `measured` without dp_replicas
+// shapes and pipeline_stages busy entries.
+ElasticMetrics SimulateElasticRun(Seconds iteration_time, const ElasticOptions& options,
+                                  const ElasticPricing* measured = nullptr);
+
 // Prices every surviving-fleet shape of `strategy` (dp shrinking from
 // strategy.dp down to 1) plus — when options.straggler injects one — the
 // straggler-mitigation plan states, all on the discrete-event engine via
-// SimulateIteration, and fills options' override vectors so the
-// subsequent SimulateElasticRun consumes measured times instead of the
-// analytic defaults:
+// SimulateIteration, and returns the measurements for SimulateElasticRun
+// to read instead of its analytic defaults (pass it options whose
+// pipeline_stages is strategy.pp, as the convenience overload below
+// does):
 //   - the shrunken cluster keeps the per-node shape (nodes scale with
 //     survivors); shapes whose world size does not fill whole nodes are
 //     marked infeasible and the elastic loop falls back to a
@@ -248,11 +247,12 @@ struct ElasticPricing {
 // or the full-fleet strategy itself is infeasible.
 ElasticPricing PriceElasticShapes(const model::TransformerConfig& config,
                                   const Strategy& strategy, const hw::ClusterSpec& cluster,
-                                  int global_batch, ElasticOptions& options,
+                                  int global_batch, const ElasticOptions& options,
                                   const IterationOptions& iteration = {});
 
-// Convenience: PriceElasticShapes + SimulateElasticRun on the measured
-// clean iteration time.
+// Convenience: sets options' pipeline_stages and units_per_stage from
+// `strategy`, then runs PriceElasticShapes and SimulateElasticRun on its
+// measurements.
 ElasticMetrics SimulateElasticRun(const model::TransformerConfig& config,
                                   const Strategy& strategy, const hw::ClusterSpec& cluster,
                                   int global_batch, ElasticOptions options,

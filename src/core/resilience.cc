@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/check.h"
-#include "common/rng.h"
 
 namespace mepipe::core {
 namespace {
@@ -41,9 +40,10 @@ ResilienceMetrics SimulateTrainingRun(Seconds iteration_time,
                              : static_cast<Seconds>(options.iterations) * iteration_time;
   MEPIPE_CHECK_GT(target, 0.0) << "nothing to simulate";
 
-  const Seconds mtbf =
-      rel.mtbf_per_1000_gpus * 1000.0 / static_cast<double>(options.gpus);
-  SplitMixRng rng(options.seed);
+  // Checkpoint writes and recovery stalls run on the failure clock just
+  // like forward progress does, so failures can strike mid-write
+  // (aborting the checkpoint) and mid-recovery (restarting the recovery).
+  FailureClock clock(rel.ClusterMtbf(options.gpus), target, options.seed);
   const bool replica_local =
       options.restart_scope == sim::RestartScope::kDpReplicaLocal &&
       options.dp_replicas > 1;
@@ -51,34 +51,22 @@ ResilienceMetrics SimulateTrainingRun(Seconds iteration_time,
   ResilienceMetrics m;
   m.iteration_time = iteration_time;
 
-  Seconds wall = 0;       // elapsed cluster time, stalls included
   Seconds useful = 0;     // durable + tentative training progress
   Seconds ckpt = 0;       // progress covered by the last durable checkpoint
-  // Wall-clock time to the next failure: checkpoint writes and recovery
-  // stalls tick it down just like forward progress does, so failures can
-  // strike mid-write (aborting the checkpoint) and mid-recovery
-  // (restarting the recovery).
-  Seconds next_fail = rng.NextExponential(mtbf);
-
-  // The run fails to converge when the cluster MTBF is so short that no
-  // checkpoint interval ever completes; bound the restart count so such
-  // configurations surface as an error instead of a hung loop.
-  const double expected_failures = target / mtbf + 10.0;
 
   const auto record_failure = [&](Seconds lost) {
     if (m.failures.size() < kMaxFailureRecords) {
       const auto iteration = static_cast<std::int64_t>(useful / iteration_time);
-      m.failures.push_back({wall, lost, rel.recovery_time, iteration,
+      m.failures.push_back({clock.wall(), lost, rel.recovery_time, iteration,
                             useful - static_cast<Seconds>(iteration) * iteration_time});
     }
   };
 
-  // Hardware failure at the current wall instant: record it, roll
-  // progress back to the restore target, then stall for detection +
-  // restart. The recovery stall runs on the wall clock too — a failure
+  // A hardware failure just struck: record it, roll progress back to the
+  // restore target, then stall for detection + restart. A failure
   // striking mid-recovery loses nothing further (progress is already
   // rolled back) but restarts the recovery from scratch.
-  const auto fail = [&]() {
+  const auto recover = [&]() {
     Seconds restore = ckpt;
     if (replica_local) {
       // Surviving replicas hold the state of the last completed
@@ -92,56 +80,45 @@ ResilienceMetrics SimulateTrainingRun(Seconds iteration_time,
     record_failure(lost);
     useful = restore;
     m.lost_time += lost;
-    ++m.restarts;
-    MEPIPE_CHECK_LT(m.restarts, 100.0 * expected_failures)
-        << "MTBF " << mtbf << "s is too short for the run to make durable "
-        << "progress past its " << rel.checkpoint_interval << "s checkpoint interval";
-    next_fail = rng.NextExponential(mtbf);
-    while (next_fail <= rel.recovery_time) {
-      wall += next_fail;
-      m.recovery_time += next_fail;
+    for (;;) {
+      const FailureClock::Step stall = clock.Run(rel.recovery_time);
+      m.recovery_time += stall.done;
+      if (!stall.failed) {
+        return;
+      }
       record_failure(0.0);
-      ++m.restarts;
-      MEPIPE_CHECK_LT(m.restarts, 100.0 * expected_failures)
-          << "MTBF " << mtbf << "s is shorter than the " << rel.recovery_time
-          << "s recovery stall; the run can never come back up";
-      next_fail = rng.NextExponential(mtbf);
     }
-    wall += rel.recovery_time;
-    m.recovery_time += rel.recovery_time;
-    next_fail -= rel.recovery_time;
   };
 
   while (useful < target) {
     const Seconds to_ckpt = ckpt + rel.checkpoint_interval - useful;
     const Seconds to_done = target - useful;
-    const Seconds run = std::min({to_ckpt, to_done, next_fail});
-    wall += run;
-    useful += run;
-    next_fail -= run;
-    if (next_fail <= 0.0) {
-      fail();
-    } else if (run == to_ckpt && useful < target) {
-      if (next_fail <= rel.checkpoint_write_cost) {
+    // Decided before the step: a replica-local restore at a checkpoint
+    // instant can leave to_ckpt a hair below zero, which the clock
+    // advances by zero.
+    const bool ckpt_due = to_ckpt <= to_done;
+    const FailureClock::Step step = clock.Run(std::min(to_ckpt, to_done));
+    useful += step.done;
+    if (step.failed) {
+      recover();
+    } else if (ckpt_due && useful < target) {
+      const FailureClock::Step write = clock.Run(rel.checkpoint_write_cost);
+      m.checkpoint_time += write.done;
+      if (write.failed) {
         // Failure strikes mid-write: the elapsed write time is spent but
         // the checkpoint never becomes durable.
-        wall += next_fail;
-        m.checkpoint_time += next_fail;
-        next_fail = 0.0;
         ++m.checkpoints_aborted;
-        fail();
+        recover();
       } else {
-        wall += rel.checkpoint_write_cost;
-        next_fail -= rel.checkpoint_write_cost;
-        m.checkpoint_time += rel.checkpoint_write_cost;
         ckpt = useful;
         ++m.checkpoints_written;
       }
     }
   }
 
-  m.wall_time = wall;
+  m.wall_time = clock.wall();
   m.useful_time = useful;
+  m.restarts = clock.failures();
   // Count completed iterations exactly: float accumulation of `useful`
   // can land a hair under an iteration boundary, so snap near-integer
   // quotients before truncating.
@@ -150,7 +127,7 @@ ResilienceMetrics SimulateTrainingRun(Seconds iteration_time,
   m.iterations_completed = std::abs(iterations - rounded) <= 1e-6 * std::max(1.0, rounded)
                                ? static_cast<std::int64_t>(rounded)
                                : static_cast<std::int64_t>(iterations);
-  m.goodput = wall > 0 ? useful / wall : 1.0;
+  m.goodput = m.wall_time > 0 ? useful / m.wall_time : 1.0;
   m.overhead_fraction = 1.0 - m.goodput;
   return m;
 }
@@ -206,8 +183,7 @@ CheckpointIntervalSolution OptimalCheckpointInterval(
   MEPIPE_CHECK_GE(options.golden_iterations, 0);
 
   CheckpointIntervalSolution sol;
-  sol.mtbf = base.reliability.mtbf_per_1000_gpus * 1000.0 /
-             static_cast<double>(base.gpus);
+  sol.mtbf = base.reliability.ClusterMtbf(base.gpus);
   sol.young = std::sqrt(2.0 * w * sol.mtbf);
   if (w < 2.0 * sol.mtbf) {
     const double ratio = w / (2.0 * sol.mtbf);

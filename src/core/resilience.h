@@ -15,13 +15,18 @@
 // FaultPlanForFailure.
 //
 // Fully deterministic under a fixed seed (splitmix64 sampling; no
-// standard-library distributions).
+// standard-library distributions). The wall clock and its failure
+// arrivals are a FailureClock, which the elastic runtime (core/elastic)
+// runs on too.
 #ifndef MEPIPE_CORE_RESILIENCE_H_
 #define MEPIPE_CORE_RESILIENCE_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
+#include "common/check.h"
+#include "common/rng.h"
 #include "common/units.h"
 #include "core/deployment.h"
 #include "sched/schedule.h"
@@ -29,9 +34,79 @@
 
 namespace mepipe::core {
 
+// The wall clock of a training run under Poisson fail-stops, shared by
+// SimulateTrainingRun and SimulateElasticRun. It owns the failure stream
+// (splitmix64 from the run's seed), the hazard left before the next
+// arrival, the elapsed wall time, the failure count and the runaway
+// bound. Hazard is spent in full-fleet-equivalent time: `exposure` is the
+// powered share of the fleet (live / dp replicas), so advancing dt spends
+// dt * exposure, and the arrival sequence does not depend on what the
+// caller does between failures.
+class FailureClock {
+ public:
+  struct Step {
+    Seconds done = 0;     // wall advanced
+    bool failed = false;  // a failure struck at the end of `done`
+  };
+
+  // `target` is the run's useful-time goal. A run that reaches
+  // 100 * (target / mtbf + 10) failures cannot make durable progress, and
+  // the failure that reaches the bound throws CheckError.
+  FailureClock(Seconds mtbf, Seconds target, std::uint64_t seed)
+      : mtbf_(mtbf),
+        max_failures_(100.0 * (target / mtbf + 10.0)),
+        rng_(seed),
+        next_(rng_.NextExponential(mtbf)) {}
+
+  // Advances up to dt, stopping at a failure (whose successor is drawn
+  // there). A non-positive dt or exposure advances max(dt, 0) and spends
+  // no hazard.
+  Step Run(Seconds dt, double exposure = 1.0) {
+    if (exposure <= 0.0 || dt <= 0.0) {
+      const Seconds done = std::max(0.0, dt);
+      wall_ += done;
+      return {done, false};
+    }
+    const Seconds spent = dt * exposure;
+    if (next_ > spent) {
+      next_ -= spent;
+      wall_ += dt;
+      return {dt, false};
+    }
+    const Seconds done = next_ / exposure;
+    wall_ += done;
+    ++failures_;
+    MEPIPE_CHECK_LT(failures_, max_failures_)
+        << "cluster MTBF " << mtbf_ << "s is too short for the run to make durable progress";
+    next_ = rng_.NextExponential(mtbf_);
+    return {done, true};
+  }
+
+  // Advances through dt without stopping: a failure-atomic barrier stall.
+  // It spends the hazard, and a failure that lands inside it strikes at
+  // the start of the next Run.
+  void RunThrough(Seconds dt, double exposure) {
+    if (exposure > 0.0 && dt > 0.0) {
+      next_ = std::max(0.0, next_ - dt * exposure);
+    }
+    wall_ += std::max(0.0, dt);
+  }
+
+  Seconds wall() const { return wall_; }
+  int failures() const { return failures_; }
+
+ private:
+  Seconds mtbf_;
+  double max_failures_;
+  SplitMixRng rng_;
+  Seconds next_;  // hazard left before the next arrival
+  Seconds wall_ = 0;
+  int failures_ = 0;
+};
+
 struct ResilienceOptions {
   ReliabilityOptions reliability;
-  // Fleet size; the cluster MTBF scales as mtbf_per_1000_gpus * 1000/gpus.
+  // Fleet size; the cluster MTBF is reliability.ClusterMtbf(gpus).
   int gpus = 1024;
   // Length of the simulated run, as useful training progress: either an
   // explicit duration, or (when 0) `iterations` times the iteration time.

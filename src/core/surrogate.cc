@@ -201,8 +201,7 @@ SurrogateGoodput ClosedFormGoodput(Seconds iteration_time, Bytes checkpoint_shar
   SurrogateGoodput out;
   out.checkpoint_write_cost = CheckpointWriteCost(checkpoint_shard, checkpoint_cost);
   const double w = out.checkpoint_write_cost;
-  const Seconds mtbf =
-      resilience.reliability.mtbf_per_1000_gpus * 1000.0 / resilience.gpus;
+  const Seconds mtbf = resilience.reliability.ClusterMtbf(resilience.gpus);
   MEPIPE_CHECK_GT(mtbf, 0) << "goodput needs a positive MTBF";
   // Young's first-order optimum and Daly's second-order refinement
   // (the same closed forms OptimalCheckpointInterval seeds its

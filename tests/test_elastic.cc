@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <utility>
 #include <vector>
 
 #include "common/check.h"
@@ -31,8 +33,7 @@ ElasticOptions FailureProneOptions(std::uint64_t seed) {
   opt.run.reliability.recovery_time = 120.0;
   opt.run.reliability.checkpoint_write_cost = 20.0;
   opt.run.reliability.checkpoint_interval = 600.0;
-  const Seconds mtbf = opt.run.reliability.mtbf_per_1000_gpus * 1000.0 / opt.run.gpus;
-  opt.run.target_useful_time = 40.0 * mtbf;
+  opt.run.target_useful_time = 40.0 * opt.run.reliability.ClusterMtbf(opt.run.gpus);
   opt.repair_time = 3600.0;
   opt.reshard_stall = 20.0;
   opt.resolve_checkpoint_interval = false;  // keep the unit tests fast
@@ -152,16 +153,71 @@ TEST(Elastic, ElasticDominatesRestartDominatesFrozen) {
 }
 
 TEST(Elastic, SingleReplicaFallsBackToSynchronousOutage) {
-  // dp == 1: no surviving peer, so the elastic policy degenerates to
-  // the frozen rollback + wait — and must still terminate.
+  // dp == 1: every failure loses the last live replica, so no peer holds
+  // state newer than the durable checkpoint. Every policy degenerates to
+  // the frozen rollback + wait, field for field, and must still
+  // terminate.
   ElasticOptions opt = FailureProneOptions(5);
   opt.run.dp_replicas = 1;
-  opt.policy = ElasticPolicy::kElastic;
-  const ElasticMetrics m = SimulateElasticRun(10.0, opt);
-  EXPECT_GT(m.failures, 0);
-  EXPECT_EQ(m.reshards, 0);
-  EXPECT_GT(m.repair_wait_time, 0.0);
-  EXPECT_GE(m.useful_time, opt.run.target_useful_time);
+  opt.policy = ElasticPolicy::kFrozen;
+  const ElasticMetrics frozen = SimulateElasticRun(10.0, opt);
+  EXPECT_GT(frozen.failures, 0);
+  EXPECT_EQ(frozen.reshards, 0);
+  EXPECT_GT(frozen.repair_wait_time, 0.0);
+  EXPECT_GE(frozen.useful_time, opt.run.target_useful_time);
+  for (ElasticPolicy policy : {ElasticPolicy::kRestart, ElasticPolicy::kElastic}) {
+    opt.policy = policy;
+    ElasticMetrics m = SimulateElasticRun(10.0, opt);
+    EXPECT_EQ(m.policy, policy);
+    m.policy = ElasticPolicy::kFrozen;
+    SCOPED_TRACE(ToString(policy));
+    ExpectIdentical(frozen, m);
+  }
+}
+
+TEST(Elastic, AgreesWithTheTrainingRunWhereTheModelsMeet) {
+  // Without repairs, stragglers or interval re-solves, on whole
+  // iterations that divide the checkpoint interval, the elastic loop's
+  // frozen policy is SimulateTrainingRun's full-pipeline restore and its
+  // restart policy is the replica-local restore: the same failure clock,
+  // the same checkpoint and retry rules. A 400 s write cost makes
+  // failures abort writes. iterations_completed is not compared: the
+  // elastic loop counts replays too.
+  int aborted_cases = 0;
+  for (const Seconds write_cost : {20.0, 400.0}) {
+    for (const int dp : {2, 4, 8}) {
+      for (std::uint64_t seed = 1; seed <= 50; ++seed) {
+        ElasticOptions opt = FailureProneOptions(seed);
+        opt.run.dp_replicas = dp;
+        opt.run.reliability.checkpoint_write_cost = write_cost;
+        opt.run.target_useful_time = 200'000.0;
+        opt.repair_time = 0.0;
+        for (const auto& [policy, scope] :
+             {std::pair{ElasticPolicy::kFrozen, sim::RestartScope::kFullPipeline},
+              std::pair{ElasticPolicy::kRestart, sim::RestartScope::kDpReplicaLocal}}) {
+          SCOPED_TRACE(testing::Message() << ToString(policy) << " write " << write_cost
+                                          << " dp " << dp << " seed " << seed);
+          opt.policy = policy;
+          opt.run.restart_scope = scope;
+          const ElasticMetrics e = SimulateElasticRun(10.0, opt);
+          const ResilienceMetrics r = SimulateTrainingRun(10.0, opt.run);
+          EXPECT_EQ(e.failures, r.restarts);
+          EXPECT_EQ(e.checkpoints_written, r.checkpoints_written);
+          EXPECT_EQ(e.checkpoints_aborted, r.checkpoints_aborted);
+          const auto near = [](Seconds a, Seconds b) {
+            return std::abs(a - b) <= 1e-9 * std::max({std::abs(a), std::abs(b), 1.0});
+          };
+          EXPECT_PRED2(near, e.wall_time, r.wall_time);
+          EXPECT_PRED2(near, e.useful_time, r.useful_time);
+          EXPECT_PRED2(near, e.lost_time, r.lost_time);
+          EXPECT_PRED2(near, e.checkpoint_time, r.checkpoint_time);
+          EXPECT_PRED2(near, e.recovery_time, r.recovery_time);
+          aborted_cases += r.checkpoints_aborted > 0 ? 1 : 0;
+        }
+      }
+    }
+  }
+  EXPECT_GT(aborted_cases, 100);
 }
 
 TEST(Elastic, TransientStragglerNeverTriggersAReplan) {
@@ -295,9 +351,6 @@ TEST(Elastic, ValidatesOptions) {
   opt.straggler.stage = 9;  // outside the 4-stage pipeline
   EXPECT_THROW(SimulateElasticRun(10.0, opt), CheckError);
   opt = FailureProneOptions(1);
-  opt.iteration_time_by_survivors = {1.0};  // wrong length (dp == 4)
-  EXPECT_THROW(SimulateElasticRun(10.0, opt), CheckError);
-  opt = FailureProneOptions(1);
   opt.run.dp_replicas = 0;  // the satellite contract, through elastic
   EXPECT_THROW(SimulateElasticRun(10.0, opt), CheckError);
   EXPECT_THROW(SimulateElasticRun(0.0, FailureProneOptions(1)), CheckError);
@@ -342,14 +395,19 @@ TEST(Elastic, PricesEveryShapeOnTheEngine) {
   EXPECT_FALSE(pricing.shapes[0].feasible);
   EXPECT_NE(pricing.shapes[0].note.find("memory"), std::string::npos);
   EXPECT_EQ(pricing.validated_schedules, 7);
-  ASSERT_EQ(opt.shape_feasible.size(), 8u);
-  EXPECT_EQ(opt.shape_feasible[0], 0);
-  EXPECT_EQ(opt.shape_feasible[7], 1);
-  // The options now carry the engine-grounded overrides.
-  ASSERT_EQ(opt.iteration_time_by_survivors.size(), 8u);
-  EXPECT_DOUBLE_EQ(opt.iteration_time_by_survivors[7], pricing.clean_iteration_time);
-  ASSERT_EQ(opt.clean_stage_busy.size(), 8u);
-  EXPECT_EQ(opt.pipeline_stages, 8);
+  EXPECT_DOUBLE_EQ(pricing.shapes[7].iteration_time, pricing.clean_iteration_time);
+  ASSERT_EQ(pricing.clean_stage_busy.size(), 8u);
+  // No straggler injected: the mitigation path was not priced.
+  EXPECT_TRUE(pricing.straggled_stage_busy.empty());
+  EXPECT_TRUE(pricing.mitigated_stage_busy.empty());
+  // The run reads the measurements only under the strategy's pipeline
+  // shape: FailureProneOptions models 4 stages, the strategy has 8.
+  EXPECT_THROW(SimulateElasticRun(pricing.clean_iteration_time, opt, &pricing), CheckError);
+  opt.pipeline_stages = 8;
+  const ElasticMetrics m = SimulateElasticRun(pricing.clean_iteration_time, opt, &pricing);
+  EXPECT_GE(m.useful_time, opt.run.target_useful_time);
+  opt.run.dp_replicas = 4;  // 8 measured shapes
+  EXPECT_THROW(SimulateElasticRun(pricing.clean_iteration_time, opt, &pricing), CheckError);
 }
 
 TEST(Elastic, EngineGroundedRunBeatsRestartToo) {
@@ -365,8 +423,7 @@ TEST(Elastic, EngineGroundedRunBeatsRestartToo) {
 
   ElasticOptions opt = FailureProneOptions(21);
   opt.run.dp_replicas = 8;
-  const Seconds mtbf = opt.run.reliability.mtbf_per_1000_gpus * 1000.0 / opt.run.gpus;
-  opt.run.target_useful_time = 20.0 * mtbf;
+  opt.run.target_useful_time = 20.0 * opt.run.reliability.ClusterMtbf(opt.run.gpus);
 
   opt.policy = ElasticPolicy::kRestart;
   const ElasticMetrics restart =
@@ -402,7 +459,7 @@ TEST(Elastic, SurrogateTriageOffKeepsTheBaseStrategyOnEveryShape) {
 }
 
 TEST(Elastic, SurrogateTriageSearchesPartitioningsPerShape) {
-  // With the triage on, every degraded shape re-plans its SPP split:
+  // With slice candidates, every degraded shape re-plans its SPP split:
   // the surrogate prices the variants, the engine runs only the pick,
   // and the priced run can never be slower than the base partitioning
   // on the shapes where it re-planned.
@@ -421,7 +478,6 @@ TEST(Elastic, SurrogateTriageSearchesPartitioningsPerShape) {
   SurrogateCache cache;
   ElasticOptions opt = FailureProneOptions(1);
   opt.run.dp_replicas = 8;
-  opt.surrogate_shape_search = true;
   opt.shape_slice_candidates = {1, 2, 4, 8, 16};
   opt.surrogate_cache = &cache;
   const ElasticPricing triaged = PriceElasticShapes(config, strategy, cluster, 64, opt);
@@ -446,7 +502,6 @@ TEST(Elastic, SurrogateTriageSearchesPartitioningsPerShape) {
   // Determinism: the same triage lands on the same picks and times.
   ElasticOptions again = FailureProneOptions(1);
   again.run.dp_replicas = 8;
-  again.surrogate_shape_search = true;
   again.shape_slice_candidates = {1, 2, 4, 8, 16};
   again.surrogate_cache = &cache;
   const ElasticPricing repeat = PriceElasticShapes(config, strategy, cluster, 64, again);
