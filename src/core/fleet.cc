@@ -183,8 +183,6 @@ Seconds TierScaledCostModel::DpSyncTime(const sched::OpId& bucket) const {
   return comm_.DpGradientSyncAtStage(bytes, layout_, problem_.stage_of_chunk(bucket.chunk));
 }
 
-namespace {
-
 // A candidate ready to price: the homogeneous build on the reference
 // tier's sub-cluster, the slowdown profile relative to that tier, the
 // adopted layer re-partition, and per-stage scale factors for static
@@ -195,6 +193,8 @@ struct PlacedBuild {
   RebalancePlan plan;    // default (no-op) when compute is uniform
   std::vector<double> static_scale;
 };
+
+namespace {
 
 // The first issue's message, empty when the layout is admitted.
 std::string FirstIssue(const std::vector<hw::LayoutIssue>& issues) {
@@ -272,6 +272,22 @@ PlacedBuild BuildPlaced(const model::TransformerConfig& config, const PlacedStra
     }
   }
   return pb;
+}
+
+// The build `handle` holds, else a fresh one, stored in `handle` when
+// the caller passed one.
+PlacedBuildRef BuildOnce(const model::TransformerConfig& config, const PlacedStrategy& placed,
+                         const hw::ClusterTopology& topology, int global_batch,
+                         const IterationOptions& options, PlacedBuildRef* handle) {
+  if (handle != nullptr && *handle != nullptr) {
+    return *handle;
+  }
+  PlacedBuildRef built = std::make_shared<const PlacedBuild>(
+      BuildPlaced(config, placed, topology, global_batch, options));
+  if (handle != nullptr) {
+    *handle = built;
+  }
+  return built;
 }
 
 // The candidate's cost model as both pricers execute it: the build's
@@ -425,7 +441,8 @@ PlacedIterationResult SimulatePlacedIteration(const model::TransformerConfig& co
                                               const PlacedStrategy& placed,
                                               const hw::ClusterTopology& topology,
                                               int global_batch,
-                                              const IterationOptions& options) {
+                                              const IterationOptions& options,
+                                              PlacedBuildRef* build) {
   MEPIPE_CHECK(topology.num_tiers() == 1 ||
                (options.fault_plan.empty() && options.noise_sigma <= 0 &&
                 !options.rebalance_stragglers))
@@ -437,14 +454,15 @@ PlacedIterationResult SimulatePlacedIteration(const model::TransformerConfig& co
   if (!out.result.note.empty()) {
     return out;
   }
-  PlacedBuild pb = BuildPlaced(config, placed, topology, global_batch, options);
+  const PlacedBuildRef built = BuildOnce(config, placed, topology, global_batch, options, build);
+  const PlacedBuild& pb = *built;
   if (!pb.build.feasible) {
-    out.result.note = std::move(pb.build.note);
+    out.result.note = pb.build.note;
     return out;
   }
   const Strategy& strategy = placed.strategy;
   const sched::PipelineProblem& problem = pb.build.problem;
-  sched::Schedule& schedule = pb.build.schedule;
+  const sched::Schedule& schedule = pb.build.schedule;
 
   out.slowdown = pb.profile.slowdown;
   const int units_per_chunk =
@@ -470,7 +488,8 @@ PlacedIterationResult SimulatePlacedIteration(const model::TransformerConfig& co
   engine.record_timeline = options.keep_timeline;
   sim::SimResult sim = Simulate(schedule, stack.model(), engine);
 
-  std::vector<double> mitigation_scale;
+  std::vector<double> mitigation_scale;  // empty unless a mitigation was adopted
+  sched::Schedule mitigated_schedule;
   const Seconds unmitigated_makespan = sim.makespan;
   if (options.rebalance_stragglers && !options.fault_plan.empty()) {
     // Straggler-aware rebalancing: estimate the per-stage slowdown,
@@ -495,7 +514,7 @@ PlacedIterationResult SimulatePlacedIteration(const model::TransformerConfig& co
         MitigateStragglers(schedule, stack.model(), *options.fault_plan, mitigation);
     if (report.mitigated_makespan < sim.makespan) {
       sim = std::move(report.mitigated);
-      schedule = std::move(report.mitigated_schedule);
+      mitigated_schedule = std::move(report.mitigated_schedule);
       for (int stage = 0; stage < problem.stages; ++stage) {
         mitigation_scale.push_back(report.plan.stage_unit_ratio(problem, stage));
       }
@@ -508,7 +527,11 @@ PlacedIterationResult SimulatePlacedIteration(const model::TransformerConfig& co
   result.mitigation.unmitigated_pipeline_time = unmitigated_makespan;
   result.sim = std::move(sim);
   if (options.keep_schedule) {
-    result.schedule = std::move(schedule);
+    if (mitigation_scale.empty()) {
+      result.schedule = schedule;
+    } else {
+      result.schedule = std::move(mitigated_schedule);
+    }
     result.activation_budget = std::move(engine.activation_budget);
   }
   out.dollars = PriceDollarCost(topology, placed, result.iteration_time,
@@ -520,7 +543,8 @@ PlacedSurrogateResult SurrogatePricePlaced(const model::TransformerConfig& confi
                                            const PlacedStrategy& placed,
                                            const hw::ClusterTopology& topology,
                                            int global_batch,
-                                           const SurrogateOptions& options) {
+                                           const SurrogateOptions& options,
+                                           PlacedBuildRef* build) {
   const Strategy& strategy = placed.strategy;
   PlacedSurrogateResult out;
   out.placed = placed;
@@ -548,10 +572,12 @@ PlacedSurrogateResult SurrogatePricePlaced(const model::TransformerConfig& confi
     }
   }
 
-  PlacedBuild pb = BuildPlaced(config, placed, topology, global_batch, options.iteration);
+  const PlacedBuildRef built =
+      BuildOnce(config, placed, topology, global_batch, options.iteration, build);
+  const PlacedBuild& pb = *built;
   SurrogateResult& result = out.result;
   if (!pb.build.feasible) {
-    result.note = std::move(pb.build.note);
+    result.note = pb.build.note;
   } else {
     const sim::CostModelStack stack = PlacedCosts(pb, topology, placed);
     sim::TableOptions table;

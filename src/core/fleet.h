@@ -31,6 +31,7 @@
 #ifndef MEPIPE_CORE_FLEET_H_
 #define MEPIPE_CORE_FLEET_H_
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -134,6 +135,20 @@ struct PlacedSurrogateResult {
   DollarCostBreakdown dollars;
 };
 
+// A placed candidate ready to price (defined in fleet.cc): its
+// BuildCandidate on the reference tier plus the placement's layer
+// re-partition and per-tier activation budgets. Both pricers below take
+// one through an optional trailing handle, so one build can be priced
+// by the surrogate and then by the DES. When `*build` is set they price
+// it as-is; when it is empty they build it and store it there. Neither
+// writes to a build once made: keep_schedule copies its schedule and
+// straggler mitigation regenerates into its own copy. A handed-in build
+// must come from the same config, placed strategy, topology, global
+// batch, and IterationOptions::cost, wgrad_mode and svpp_inflight; the
+// other IterationOptions fields do not enter a build.
+struct PlacedBuild;
+using PlacedBuildRef = std::shared_ptr<const PlacedBuild>;
+
 // DES-grade pricing of a placed candidate. On a single-tier topology the
 // fault plan, noise and straggler rebalancing in `options` run exactly as
 // SimulateIteration runs them. A multi-tier topology folds static
@@ -143,16 +158,19 @@ PlacedIterationResult SimulatePlacedIteration(const model::TransformerConfig& co
                                               const PlacedStrategy& placed,
                                               const hw::ClusterTopology& topology,
                                               int global_batch,
-                                              const IterationOptions& options = {});
+                                              const IterationOptions& options = {},
+                                              PlacedBuildRef* build = nullptr);
 
 // Surrogate counterpart (sim::PriceScheduleTable), cacheable through
 // SurrogateOptions::cache — keys carry TopologyFingerprint and the
-// placement hash (see SurrogateKey).
+// placement hash (see SurrogateKey). A cache hit builds nothing and
+// leaves `*build` as it was.
 PlacedSurrogateResult SurrogatePricePlaced(const model::TransformerConfig& config,
                                            const PlacedStrategy& placed,
                                            const hw::ClusterTopology& topology,
                                            int global_batch,
-                                           const SurrogateOptions& options = {});
+                                           const SurrogateOptions& options = {},
+                                           PlacedBuildRef* build = nullptr);
 
 }  // namespace mepipe::core
 

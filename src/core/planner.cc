@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <functional>
+#include <iterator>
 #include <thread>
+#include <utility>
 
 #include "common/check.h"
 #include "core/deployment.h"
@@ -166,55 +169,96 @@ double SurrogateScore(const PlacedSurrogateResult& priced, PlannerObjective obje
                                                     : priced.result.iteration_time;
 }
 
+// (surrogate score, grid index): phase 1's ranking key, best first.
+using Rank = std::pair<double, std::size_t>;
+
+// A surrogate-feasible candidate phase 2 may run, with its build.
+struct Kept {
+  Rank rank;
+  PlacedBuildRef build;  // empty when the price came from the cache
+};
+
+// Phase 1's outcome: every grid candidate's surrogate price, and the
+// surrogate_top_k surrogate-feasible candidates by Rank, best first.
+struct Sweep {
+  std::vector<PlacedSurrogateResult> priced;  // grid order
+  std::vector<Kept> top;
+};
+
 // Phase 1 of the two-phase driver: surrogate-price every grid candidate
-// on `threads` workers (atomic work index; results land in their
-// candidate's slot, so the outcome is thread-count-independent).
-std::vector<PlacedSurrogateResult> SurrogateSweep(const std::vector<PlacedStrategy>& grid,
-                                                  const model::TransformerConfig& config,
-                                                  const hw::ClusterTopology& topology,
-                                                  int global_batch,
-                                                  const IterationOptions& iteration,
-                                                  SurrogateCache* cache, int threads) {
-  std::vector<PlacedSurrogateResult> priced(grid.size());
-  if (grid.empty()) {
-    return priced;
-  }
+// on options.threads workers (atomic work index; results land in their
+// candidate's slot, so the outcome is thread-count-independent). Each
+// worker keeps its top-k candidates by Rank with their builds; the
+// global top-k is among them, whatever candidates a worker drew.
+Sweep SurrogateSweep(const std::vector<PlacedStrategy>& grid,
+                     const model::TransformerConfig& config,
+                     const hw::ClusterTopology& topology, int global_batch,
+                     const IterationOptions& iteration, PlannerObjective objective,
+                     const PlannerOptions& options) {
+  const std::size_t top_k = static_cast<std::size_t>(std::max(1, options.surrogate_top_k));
+  Sweep out;
+  out.priced.resize(grid.size());
   SurrogateOptions surrogate;
   surrogate.iteration = iteration;
   surrogate.iteration.keep_timeline = false;
   surrogate.iteration.keep_schedule = false;
-  surrogate.cache = cache;
+  surrogate.cache = options.cache;
+  int threads = options.threads;
   if (threads <= 0) {
     threads = static_cast<int>(std::thread::hardware_concurrency());
   }
   threads = std::clamp(threads, 1, static_cast<int>(grid.size()));
 
+  // Each worker's kept candidates form a max-heap on Rank: front() is
+  // the one a better candidate evicts.
+  const auto by_rank = [](const Kept& a, const Kept& b) { return a.rank < b.rank; };
+  std::vector<std::vector<Kept>> kept(static_cast<std::size_t>(threads));
   std::atomic<std::size_t> next{0};
-  const auto worker = [&]() {
+  const auto worker = [&](std::vector<Kept>& best) {
     for (std::size_t i = next.fetch_add(1); i < grid.size(); i = next.fetch_add(1)) {
+      PlacedSurrogateResult& priced = out.priced[i];
+      PlacedBuildRef build;
       try {
-        priced[i] = SurrogatePricePlaced(config, grid[i], topology, global_batch, surrogate);
+        priced = SurrogatePricePlaced(config, grid[i], topology, global_batch, surrogate, &build);
       } catch (const CheckError& err) {
-        priced[i].placed = grid[i];
-        priced[i].result.strategy = grid[i].strategy;
-        priced[i].result.feasible = false;
-        priced[i].result.note = err.what();
+        priced.placed = grid[i];
+        priced.result.strategy = grid[i].strategy;
+        priced.result.feasible = false;
+        priced.result.note = err.what();
       }
+      if (!priced.result.feasible) {
+        continue;
+      }
+      Kept candidate{{SurrogateScore(priced, objective, options), i}, std::move(build)};
+      if (best.size() == top_k) {
+        if (!(candidate.rank < best.front().rank)) {
+          continue;
+        }
+        std::pop_heap(best.begin(), best.end(), by_rank);
+        best.pop_back();
+      }
+      best.push_back(std::move(candidate));
+      std::push_heap(best.begin(), best.end(), by_rank);
     }
   };
   if (threads == 1) {
-    worker();
+    worker(kept.front());
   } else {
     std::vector<std::thread> pool;
     pool.reserve(static_cast<std::size_t>(threads));
-    for (int t = 0; t < threads; ++t) {
-      pool.emplace_back(worker);
+    for (std::vector<Kept>& best : kept) {
+      pool.emplace_back(worker, std::ref(best));
     }
     for (std::thread& t : pool) {
       t.join();
     }
   }
-  return priced;
+  for (std::vector<Kept>& best : kept) {
+    std::move(best.begin(), best.end(), std::back_inserter(out.top));
+  }
+  std::sort(out.top.begin(), out.top.end(), by_rank);
+  out.top.resize(std::min(out.top.size(), top_k));
+  return out;
 }
 
 // Everything one search produced; the public result types are views of it.
@@ -232,7 +276,11 @@ struct Search {
 // The search both public entry points run: grid enumeration, the
 // optional surrogate sweep and top-k selection, the exact phase in grid
 // order, and, when the caller keeps timelines, the winner's
-// re-simulation with its timeline.
+// re-simulation with its timeline. A candidate's build is priced by
+// every evaluator that reaches it: phase 1's build of a top-k candidate
+// by its DES runs, and the incumbent's by the re-simulation. At most
+// top_k builds per phase-1 worker plus the incumbent's are alive at
+// once, and none outlives this call.
 Search RunSearch(Method method, const model::TransformerConfig& config,
                  const hw::ClusterTopology& topology, bool exact_cover, int global_batch,
                  const PlannerOptions& options) {
@@ -261,29 +309,25 @@ Search RunSearch(Method method, const model::TransformerConfig& config,
 
   // ---- phase 1: surrogate sweep + top-k selection (two_phase only) ----
   // The surrogate prices clean runs only; under a fault plan the search
-  // stays exhaustive (the fault-aware bound still prunes it).
+  // stays exhaustive (the fault-aware bound still prunes it). The top-k's
+  // phase-1 builds carry over to their DES runs; no other build does.
   std::vector<char> selected(grid.size(), 1);
+  std::vector<PlacedBuildRef> builds(grid.size());
   if (options.two_phase && !faulted && !grid.empty()) {
-    out.priced = SurrogateSweep(grid, config, topology, global_batch, eval_options,
-                                options.cache, options.threads);
+    Sweep sweep =
+        SurrogateSweep(grid, config, topology, global_batch, eval_options, objective, options);
+    out.priced = std::move(sweep.priced);
     out.surrogate_priced = static_cast<int>(out.priced.size());
-    std::vector<std::pair<double, std::size_t>> ranked;  // (score, grid index)
-    ranked.reserve(out.priced.size());
-    for (std::size_t i = 0; i < out.priced.size(); ++i) {
-      out.cache_hits += out.priced[i].result.cache_hit ? 1 : 0;
-      if (out.priced[i].result.feasible) {
-        ranked.push_back({SurrogateScore(out.priced[i], objective, options), i});
-      }
+    for (const PlacedSurrogateResult& priced : out.priced) {
+      out.cache_hits += priced.result.cache_hit ? 1 : 0;
     }
-    std::sort(ranked.begin(), ranked.end());
     // Nothing surrogate-feasible: keep everything selected, so a
     // conservative surrogate can never hide a feasible strategy.
-    if (!ranked.empty()) {
-      const std::size_t top_k = std::min<std::size_t>(
-          ranked.size(), static_cast<std::size_t>(std::max(1, options.surrogate_top_k)));
+    if (!sweep.top.empty()) {
       selected.assign(grid.size(), 0);
-      for (std::size_t r = 0; r < top_k; ++r) {
-        selected[ranked[r].second] = 1;
+      for (Kept& kept : sweep.top) {
+        selected[kept.rank.second] = 1;
+        builds[kept.rank.second] = std::move(kept.build);
       }
     }
   }
@@ -292,6 +336,7 @@ Search RunSearch(Method method, const model::TransformerConfig& config,
   // A CheckError from one candidate's run (a fault plan naming a stage its
   // pipeline lacks, say) marks that candidate infeasible with the error as
   // its note instead of aborting the search, as in the surrogate sweep.
+  PlacedBuildRef best_build;  // the incumbent's
   for (std::size_t i = 0; i < grid.size(); ++i) {
     const PlacedStrategy& candidate = grid[i];
     if (!selected[i]) {
@@ -319,10 +364,15 @@ Search RunSearch(Method method, const model::TransformerConfig& config,
         continue;
       }
     }
+    // Phase 1's build when it kept one, else the first run's, which the
+    // rebalanced variant and, should this candidate win, the
+    // re-simulation price again.
+    PlacedBuildRef build = std::move(builds[i]);
     const auto evaluate = [&](const IterationOptions& iteration) {
       PlacedIterationResult result;
       try {
-        result = SimulatePlacedIteration(config, candidate, topology, global_batch, iteration);
+        result = SimulatePlacedIteration(config, candidate, topology, global_batch, iteration,
+                                         &build);
       } catch (const CheckError& err) {
         result.placed = candidate;
         result.result.strategy = candidate.strategy;
@@ -345,6 +395,7 @@ Search RunSearch(Method method, const model::TransformerConfig& config,
     if (result.result.feasible &&
         (!out.best || Score(result, objective) < Score(*out.best, objective))) {
       out.best = result;
+      best_build = std::move(build);
     }
     out.evaluated.push_back(std::move(result.result));
   }
@@ -359,7 +410,7 @@ Search RunSearch(Method method, const model::TransformerConfig& config,
     final_options.rebalance_stragglers =
         eval_options.rebalance_stragglers || out.best->result.mitigation.rebalanced;
     *out.best = SimulatePlacedIteration(config, out.best->placed, topology, global_batch,
-                                        final_options);
+                                        final_options, &best_build);
     MEPIPE_CHECK(out.best->result.feasible);
     PriceGoodput(out.best->result, options);
   }

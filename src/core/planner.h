@@ -63,7 +63,12 @@ struct PlannerOptions {
   // in general: the surrogate's ranking must put the true winner inside
   // the top-k. Falls back to the exhaustive path under a fault plan (the
   // surrogate prices clean runs only) or when no candidate is
-  // surrogate-feasible.
+  // surrogate-feasible. Each candidate is built once where the search
+  // can: every phase-1 worker keeps the builds of its `surrogate_top_k`
+  // best candidates by (score, grid order), phase 2 runs the DES on the
+  // selected ones' builds, and the winner's re-simulation prices the
+  // incumbent's. At most surrogate_top_k builds per worker plus the
+  // incumbent's are alive at once, and none outlives the search call.
   bool two_phase = false;
   int surrogate_top_k = 8;
   // Worker threads for the surrogate sweep: 0 = hardware concurrency,

@@ -193,6 +193,11 @@ TrainingCostModel::TrainingCostModel(const model::TransformerConfig& config,
     }
   }
 
+  // --- per-slice pipeline transfers ----------------------------------------
+  for (int t = 0; t < strategy_.spp; ++t) {
+    transfer_time_.push_back(comm_.PipelineP2p(BoundaryBytes(t), strategy_.layout()));
+  }
+
   // --- per-stage / per-chunk parameter bytes -------------------------------
   param_bytes_per_stage_.assign(static_cast<std::size_t>(problem_.stages), 0);
   param_bytes_per_chunk_.assign(static_cast<std::size_t>(num_chunks), 0);
@@ -248,9 +253,7 @@ Seconds TrainingCostModel::DpSyncTime(const sched::OpId& bucket) const {
 }
 
 Seconds TrainingCostModel::TransferTime(const sched::OpId& producer) const {
-  const Bytes bytes =
-      model::BoundaryBytesPerToken(config_) * SliceTokens(producer.slice);
-  return comm_.PipelineP2p(bytes, strategy_.layout());
+  return transfer_time_[static_cast<std::size_t>(producer.slice)];
 }
 
 Bytes TrainingCostModel::ActivationBytes(const sched::OpId& forward) const {

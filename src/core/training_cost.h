@@ -131,6 +131,7 @@ class TrainingCostModel : public sim::CostModel {
   std::vector<std::vector<Seconds>> wgrad_time_;
   // Per-GEMM weight-gradient durations [chunk][slice][gemm].
   std::vector<std::vector<std::vector<Seconds>>> wgemm_time_;
+  std::vector<Seconds> transfer_time_;  // per slice, one pipeline hop
   std::vector<Bytes> param_bytes_per_stage_;
   std::vector<Bytes> param_bytes_per_chunk_;
 };

@@ -47,22 +47,6 @@ std::size_t OpIdHash::operator()(const OpId& op) const {
   return seed;
 }
 
-int PipelineProblem::stage_of_chunk(int chunk) const {
-  MEPIPE_CHECK_GE(chunk, 0);
-  MEPIPE_CHECK_LT(chunk, num_chunks());
-  switch (placement) {
-    case ChunkPlacement::kRoundRobin:
-      return chunk % stages;
-    case ChunkPlacement::kVShape: {
-      // Zig-zag: 0,1,…,p-1, then p-1,…,1,0, repeating.
-      const int round = chunk / stages;
-      const int offset = chunk % stages;
-      return (round % 2 == 0) ? offset : stages - 1 - offset;
-    }
-  }
-  return chunk % stages;
-}
-
 std::int64_t PipelineProblem::ops_per_stage() const {
   const std::int64_t fb = static_cast<std::int64_t>(micros) * slices * virtual_chunks;
   return split_backward ? 3 * fb : 2 * fb;

@@ -17,6 +17,8 @@
 #include <functional>
 #include <string>
 
+#include "common/check.h"
+
 namespace mepipe::sched {
 
 enum class OpKind : std::uint8_t {
@@ -75,7 +77,19 @@ struct PipelineProblem {
 
   int num_chunks() const { return virtual_chunks * stages; }
 
-  int stage_of_chunk(int chunk) const;
+  // Inline: the schedule builders, the engine and the cost models call it
+  // per op.
+  int stage_of_chunk(int chunk) const {
+    MEPIPE_CHECK_GE(chunk, 0);
+    MEPIPE_CHECK_LT(chunk, num_chunks());
+    if (placement == ChunkPlacement::kVShape) {
+      // Zig-zag: 0,1,…,p-1, then p-1,…,1,0, repeating.
+      const int round = chunk / stages;
+      const int offset = chunk % stages;
+      return (round % 2 == 0) ? offset : stages - 1 - offset;
+    }
+    return chunk % stages;
+  }
 
   // Compute ops per stage in a full iteration (excluding per-GEMM splits):
   // n·s·v forwards, n·s·v backwards (+ n·s·v weight grads when split).

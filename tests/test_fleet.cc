@@ -1,11 +1,15 @@
 // Tests for heterogeneous-fleet planning (core/fleet + the planner's
 // fleet path): placement enumeration, speed-proportional layer splits,
 // the single-tier bit-identity contract, surrogate fidelity on placed
-// candidates, dollar-cost pricing, and the objective flip the paper's
-// economics imply.
+// candidates, handed-in builds, dollar-cost pricing, and the objective
+// flip the paper's economics imply.
 #include "core/fleet.h"
 
 #include <gtest/gtest.h>
+
+#include <optional>
+#include <string>
+#include <vector>
 
 #include "common/check.h"
 #include "core/deployment.h"
@@ -14,6 +18,7 @@
 #include "core/rebalance.h"
 #include "core/surrogate.h"
 #include "hw/cluster.h"
+#include "iteration_result_match.h"
 #include "model/memory.h"
 #include "model/transformer.h"
 #include "sim/fault.h"
@@ -38,6 +43,45 @@ PlacedStrategy Placed(Method method, int pp, int dp, int spp, hw::StagePlacement
   placed.strategy.spp = spp;
   placed.placement = std::move(placement);
   return placed;
+}
+
+void ExpectSameDollars(const DollarCostBreakdown& a, const DollarCostBreakdown& b,
+                       const std::string& label) {
+  EXPECT_EQ(a.fleet_usd_per_hour, b.fleet_usd_per_hour) << label;
+  EXPECT_EQ(a.wan_egress_bytes, b.wan_egress_bytes) << label;
+  EXPECT_EQ(a.egress_usd_per_iteration, b.egress_usd_per_iteration) << label;
+  EXPECT_EQ(a.rental_usd_per_iteration, b.rental_usd_per_iteration) << label;
+  EXPECT_EQ(a.usd_per_iteration, b.usd_per_iteration) << label;
+}
+
+// Every field of two placed DES results but the engine timeline.
+void ExpectSamePlaced(const PlacedIterationResult& a, const PlacedIterationResult& b,
+                      const std::string& label) {
+  EXPECT_EQ(a.placed.ToString(), b.placed.ToString()) << label;
+  ExpectSameWinner(a.result, b.result, label);
+  ExpectSameDollars(a.dollars, b.dollars, label);
+  EXPECT_EQ(a.slowdown, b.slowdown) << label;
+  EXPECT_EQ(a.stage_units, b.stage_units) << label;
+}
+
+// Every field of two placed surrogate prices.
+void ExpectSamePrice(const PlacedSurrogateResult& a, const PlacedSurrogateResult& b,
+                     const std::string& label) {
+  EXPECT_EQ(a.placed.ToString(), b.placed.ToString()) << label;
+  EXPECT_EQ(a.result.strategy.ToString(), b.result.strategy.ToString()) << label;
+  EXPECT_EQ(a.result.feasible, b.result.feasible) << label;
+  EXPECT_EQ(a.result.note, b.result.note) << label;
+  EXPECT_EQ(a.result.micros, b.result.micros) << label;
+  EXPECT_EQ(a.result.pipeline_time, b.result.pipeline_time) << label;
+  EXPECT_EQ(a.result.dp_sync_time, b.result.dp_sync_time) << label;
+  EXPECT_EQ(a.result.iteration_time, b.result.iteration_time) << label;
+  EXPECT_EQ(a.result.bubble_ratio, b.result.bubble_ratio) << label;
+  EXPECT_EQ(a.result.static_memory, b.result.static_memory) << label;
+  EXPECT_EQ(a.result.peak_activation, b.result.peak_activation) << label;
+  EXPECT_EQ(a.result.peak_memory, b.result.peak_memory) << label;
+  EXPECT_EQ(a.result.checkpoint_shard, b.result.checkpoint_shard) << label;
+  EXPECT_EQ(a.result.cache_hit, b.result.cache_hit) << label;
+  ExpectSameDollars(a.dollars, b.dollars, label);
 }
 
 // ---- PartitionUnitsBySpeed pins (satellite: 2x / 4x ratios) ---------------
@@ -469,6 +513,105 @@ TEST(Dollars, WanEgressScalesWithTierCrossings) {
   EXPECT_DOUBLE_EQ(free_lan.dollars.egress_usd_per_iteration, 0.0);
 }
 
+// ---- Handed-in builds -----------------------------------------------------
+
+// One build priced twice through each path reproduces a fresh build's
+// result bit for bit, and the handle keeps pointing at it: a pricer
+// prices a handed-in build as it is, and the second pass shows that the
+// first left it unchanged. The paths share the build in turn, as the
+// planner's phase 2 and re-simulation share phase 1's.
+TEST(HandedBuild, IsPricedAsItIsAndNeverChanged) {
+  struct Case {
+    std::string label;
+    model::TransformerConfig config;
+    hw::ClusterTopology topology;
+    PlacedStrategy placed;
+    int global_batch;
+  };
+  PlacedStrategy synth = Placed(Method::kSynth, 8, 8, 1, hw::StagePlacement::Uniform(8, 0));
+  synth.strategy.vp = 2;
+  hw::StagePlacement split;
+  split.stage_tier = {1, 1, 0, 0};
+  const Case cases[] = {
+      {"svpp one tier", model::Llama7B(), hw::SingleTierTopology(hw::Rtx4090Cluster()),
+       Placed(Method::kSvpp, 8, 8, 4, hw::StagePlacement::Uniform(8, 0)), 64},
+      {"synth one tier", model::Llama7B(), hw::SingleTierTopology(hw::Rtx4090Cluster()),
+       synth, 64},
+      {"svpp two tiers", model::Llama7B(), MixedFleet(Lan()),
+       Placed(Method::kSvpp, 4, 4, 4, split), 128},
+  };
+  for (const Case& c : cases) {
+    struct Path {
+      std::string label;
+      IterationOptions options;
+    };
+    std::vector<Path> paths = {{"des", {}}, {"des keep_schedule", {}}};
+    paths[1].options.keep_schedule = true;
+    if (c.topology.num_tiers() == 1) {
+      // A persistent straggler the mitigation re-partitions around: the
+      // adopted schedule must land in the result, not in the build.
+      Path mitigated{"des mitigated", {}};
+      sim::FaultPlan faults;
+      faults.stragglers.push_back({1, 0.0, 1e9, 2.0});
+      mitigated.options.fault_plan = faults;
+      mitigated.options.rebalance_stragglers = true;
+      mitigated.options.keep_schedule = true;
+      paths.push_back(std::move(mitigated));
+    }
+
+    PlacedBuildRef build;
+    const PlacedSurrogateResult fresh_price =
+        SurrogatePricePlaced(c.config, c.placed, c.topology, c.global_batch);
+    ASSERT_TRUE(fresh_price.result.feasible) << c.label << ": " << fresh_price.result.note;
+    ExpectSamePrice(fresh_price,
+                    SurrogatePricePlaced(c.config, c.placed, c.topology, c.global_batch, {}, &build),
+                    c.label + " surrogate, building");
+    ASSERT_NE(build, nullptr) << c.label;
+    const PlacedBuild* const handed = build.get();
+    for (const int pass : {1, 2}) {
+      const std::string label = c.label + " surrogate pass " + std::to_string(pass);
+      ExpectSamePrice(
+          fresh_price,
+          SurrogatePricePlaced(c.config, c.placed, c.topology, c.global_batch, {}, &build), label);
+      EXPECT_EQ(build.get(), handed) << label;
+    }
+    for (const Path& path : paths) {
+      const PlacedIterationResult fresh =
+          SimulatePlacedIteration(c.config, c.placed, c.topology, c.global_batch, path.options);
+      // The engine ran (an OOM verdict is still compared field by field).
+      ASSERT_GT(fresh.result.pipeline_time, 0) << c.label << " " << path.label;
+      if (path.options.rebalance_stragglers && c.placed.strategy.method == Method::kSvpp) {
+        EXPECT_TRUE(fresh.result.mitigation.rebalanced) << c.label;
+      }
+      for (const int pass : {1, 2}) {
+        const std::string label = c.label + " " + path.label + " pass " + std::to_string(pass);
+        ExpectSamePlaced(fresh,
+                         SimulatePlacedIteration(c.config, c.placed, c.topology, c.global_batch,
+                                                 path.options, &build),
+                         label);
+        EXPECT_EQ(build.get(), handed) << label;
+      }
+    }
+  }
+}
+
+// The DES hands its build back for the surrogate (or a re-simulation) to
+// price, as phase 1 hands its builds to phase 2.
+TEST(HandedBuild, TheDesHandsItsBuildBack) {
+  const auto config = model::Llama7B();
+  const auto fleet = MixedFleet(Lan());
+  hw::StagePlacement split;
+  split.stage_tier = {1, 1, 0, 0};
+  const auto placed = Placed(Method::kSvpp, 4, 4, 4, split);
+  PlacedBuildRef build;
+  const PlacedIterationResult simulated =
+      SimulatePlacedIteration(config, placed, fleet, 128, {}, &build);
+  ASSERT_NE(build, nullptr);
+  ExpectSamePlaced(SimulatePlacedIteration(config, placed, fleet, 128), simulated, "des");
+  ExpectSamePrice(SurrogatePricePlaced(config, placed, fleet, 128),
+                  SurrogatePricePlaced(config, placed, fleet, 128, {}, &build), "surrogate");
+}
+
 // ---- The fleet grid search ------------------------------------------------
 
 PlannerOptions FleetSearchOptions(PlannerObjective objective, int threads) {
@@ -511,18 +654,18 @@ TEST(FleetSearch, TwoPhaseWinnerIsThreadCountInvariant) {
   const auto fleet = MixedFleet(hw::WanLink(25.0, 0.02));
   std::optional<PlacedIterationResult> reference;
   for (const int threads : {1, 2, 8}) {
-    const auto result = SearchBestFleetStrategy(
-        Method::kSvpp, config, fleet, 128,
-        FleetSearchOptions(PlannerObjective::kDollarCost, threads));
-    ASSERT_TRUE(result.best.has_value()) << "threads=" << threads;
+    const std::string label = "threads=" + std::to_string(threads);
+    const PlannerOptions options = FleetSearchOptions(PlannerObjective::kDollarCost, threads);
+    const auto result = SearchBestFleetStrategy(Method::kSvpp, config, fleet, 128, options);
+    ASSERT_TRUE(result.best.has_value()) << label;
+    ExpectSamePlaced(
+        SimulatePlacedIteration(config, result.best->placed, fleet, 128, options.iteration),
+        *result.best, label + " vs a fresh run");
     if (!reference) {
       reference = result.best;
       continue;
     }
-    EXPECT_EQ(result.best->placed.ToString(), reference->placed.ToString());
-    EXPECT_EQ(result.best->result.iteration_time, reference->result.iteration_time);
-    EXPECT_EQ(result.best->dollars.usd_per_iteration,
-              reference->dollars.usd_per_iteration);
+    ExpectSamePlaced(*reference, *result.best, label);
   }
 }
 

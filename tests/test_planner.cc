@@ -4,56 +4,17 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "hw/cluster.h"
+#include "iteration_result_match.h"
 #include "model/transformer.h"
-#include "sched/serialize.h"
 #include "sim/fault.h"
-#include "sim_result_match.h"
 
 namespace mepipe::core {
 namespace {
-
-// Every field of two winners but the engine timeline, bit for bit.
-void ExpectSameWinner(const IterationResult& a, const IterationResult& b,
-                      const std::string& label) {
-  EXPECT_EQ(a.strategy.ToString(), b.strategy.ToString()) << label;
-  EXPECT_EQ(a.feasible, b.feasible) << label;
-  EXPECT_EQ(a.note, b.note) << label;
-  EXPECT_EQ(a.micros, b.micros) << label;
-  EXPECT_EQ(a.pipeline_time, b.pipeline_time) << label;
-  EXPECT_EQ(a.mitigation.rebalanced, b.mitigation.rebalanced) << label;
-  EXPECT_EQ(a.mitigation.unmitigated_pipeline_time, b.mitigation.unmitigated_pipeline_time)
-      << label;
-  EXPECT_EQ(a.dp.overlapped, b.dp.overlapped) << label;
-  EXPECT_EQ(a.dp.serialized, b.dp.serialized) << label;
-  EXPECT_EQ(a.dp.hidden, b.dp.hidden) << label;
-  EXPECT_EQ(a.dp.exposed, b.dp.exposed) << label;
-  EXPECT_EQ(a.dp_sync_time, b.dp_sync_time) << label;
-  EXPECT_EQ(a.iteration_time, b.iteration_time) << label;
-  EXPECT_EQ(a.bubble_ratio, b.bubble_ratio) << label;
-  EXPECT_EQ(a.static_memory, b.static_memory) << label;
-  EXPECT_EQ(a.peak_activation, b.peak_activation) << label;
-  EXPECT_EQ(a.peak_memory, b.peak_memory) << label;
-  EXPECT_EQ(a.checkpoint_shard, b.checkpoint_shard) << label;
-  EXPECT_EQ(a.checkpoint_state, b.checkpoint_state) << label;
-  EXPECT_EQ(a.goodput.priced, b.goodput.priced) << label;
-  EXPECT_EQ(a.goodput.checkpoint_interval, b.goodput.checkpoint_interval) << label;
-  EXPECT_EQ(a.goodput.checkpoint_write_cost, b.goodput.checkpoint_write_cost) << label;
-  EXPECT_EQ(a.goodput.goodput, b.goodput.goodput) << label;
-  EXPECT_EQ(a.goodput.effective_iteration_time, b.goodput.effective_iteration_time) << label;
-  EXPECT_EQ(a.per_gpu_flops, b.per_gpu_flops) << label;
-  EXPECT_EQ(a.mfu, b.mfu) << label;
-  ExpectSameResult(a.sim, b.sim, label);
-  ASSERT_EQ(a.schedule.stage_ops.empty(), b.schedule.stage_ops.empty()) << label;
-  if (!a.schedule.stage_ops.empty()) {
-    EXPECT_EQ(sched::SerializeSchedule(a.schedule), sched::SerializeSchedule(b.schedule))
-        << label;
-  }
-  EXPECT_EQ(a.activation_budget, b.activation_budget) << label;
-}
 
 TEST(Planner, FindsFeasibleStrategiesForAllMainMethods) {
   const auto config = model::Llama13B();
@@ -463,9 +424,11 @@ TEST(Planner, TwoPhaseSearchMatchesExhaustiveForEveryMethodAndBothObjectives) {
 }
 
 TEST(Planner, TwoPhaseWinnerIsBitIdenticalAcrossThreadCounts) {
-  // Determinism contract: candidates are ranked by (score, grid order)
-  // and the exact phase runs in grid order, so the thread count can
-  // never change the winner — bit for bit.
+  // Determinism contract: candidates are ranked by (score, grid order),
+  // the exact phase runs in grid order on the builds phase 1 kept for
+  // the top-k, so the thread count can never change the winner: every
+  // field, kept schedule included, bit for bit. Each winner is also what
+  // a fresh SimulateIteration of it measures.
   const auto config = model::Llama13B();
   const auto cluster = hw::Rtx4090Cluster();
   PlannerOptions base;
@@ -474,20 +437,27 @@ TEST(Planner, TwoPhaseWinnerIsBitIdenticalAcrossThreadCounts) {
   base.vp_candidates = {1, 2};
   base.two_phase = true;
   base.surrogate_top_k = 4;
-  base.threads = 1;
-  const auto serial = SearchBestStrategy(Method::kSvpp, config, cluster, 64, base);
-  ASSERT_TRUE(serial.best.has_value());
-  for (int threads : {2, 8}) {
-    PlannerOptions options = base;
-    options.threads = threads;
-    const auto parallel = SearchBestStrategy(Method::kSvpp, config, cluster, 64, options);
-    ASSERT_TRUE(parallel.best.has_value()) << threads << " threads";
-    EXPECT_EQ(serial.best->strategy.ToString(), parallel.best->strategy.ToString())
-        << threads << " threads";
-    EXPECT_EQ(serial.best->iteration_time, parallel.best->iteration_time)
-        << threads << " threads";
-    EXPECT_EQ(serial.surrogate_priced, parallel.surrogate_priced);
-    EXPECT_EQ(serial.simulated, parallel.simulated);
+  base.iteration.keep_schedule = true;
+  for (const Method method : {Method::kSvpp, Method::kSynth}) {
+    std::optional<PlannerResult> serial;
+    for (const int threads : {1, 2, 8}) {
+      const std::string label = std::string(ToString(method)) + " threads=" +
+                                std::to_string(threads);
+      PlannerOptions options = base;
+      options.threads = threads;
+      const auto search = SearchBestStrategy(method, config, cluster, 64, options);
+      ASSERT_TRUE(search.best.has_value()) << label;
+      ExpectSameWinner(
+          SimulateIteration(config, search.best->strategy, cluster, 64, options.iteration),
+          *search.best, label + " vs a fresh run");
+      if (!serial) {
+        serial = search;
+        continue;
+      }
+      ExpectSameWinner(*serial->best, *search.best, label);
+      EXPECT_EQ(serial->surrogate_priced, search.surrogate_priced) << label;
+      EXPECT_EQ(serial->simulated, search.simulated) << label;
+    }
   }
 }
 
